@@ -34,8 +34,9 @@
 #               armed (SOCFLOW_POSTMORTEM); failing seeds and their
 #               post-mortem dump paths append to chaos_failures.txt
 #               so a failure found tonight can be replayed tomorrow
-#   --profile   run the profiler test suite plus a profiled harvest
-#               day: fail if the wall-time conservation invariant
+#   --profile   run the profiler test suite and the attribution
+#               unit suites (flow network, collectives, comm plan)
+#               plus a profiled harvest day: fail if the wall-time conservation invariant
 #               breaks (every epoch's exclusive phases must sum to
 #               its wall seconds) or if the profiled run's timeline
 #               hash diverges from a SOCFLOW_PROFILE=0 rerun -- the
@@ -144,11 +145,14 @@ fi
 
 if [ "$1" = "--profile" ]; then
     cmake -B build -S . || exit 1
-    cmake --build build -j --target test_profiler harvest_day \
+    cmake --build build -j --target test_profiler test_flow_network \
+        test_collectives test_comm_plan harvest_day \
         fig12_breakdown || exit 1
-    # Unit + integration conservation/attribution suite.
+    # Unit + integration conservation/attribution suite, plus the
+    # attribution unit layer: flow capture, per-round ring charging,
+    # and one pricing pass per sync plan.
     ctest --test-dir build --output-on-failure \
-        -R 'test_profiler$' || exit 1
+        -R 'test_(profiler|flow_network|collectives|comm_plan)$' || exit 1
     # Profiled harvest day: the perf-doctor JSON must certify the
     # conservation invariant held for every epoch of the day.
     prof_json=/root/repo/build/profile_harvest.json

@@ -14,28 +14,20 @@ namespace {
 /**
  * Per-operation accounting: how often each collective is evaluated,
  * what it puts on the wire, and its cost distribution. References
- * are cached so the hot path is three atomic updates. Skipped while
- * a flow capture is armed (`captured`): attribution replays of
- * already-priced collectives must not double-count.
+ * are cached so the hot path is three metric updates.
  */
 void
-recordCollective(const char *op, const CommStats &stats,
-                 bool captured = false)
+recordCollective(const char *op, const CommStats &stats)
 {
-    if (captured)
-        return;
     struct OpMetrics {
         obs::Counter &ops;
         obs::Counter &wireBytes;
-        obs::Histogram &seconds;
         obs::TDigest &secondsDigest;
         explicit OpMetrics(const char *op_name)
             : ops(obs::metrics().counter("collective_ops_total",
                                          {{"op", op_name}})),
               wireBytes(obs::metrics().counter(
                   "collective_wire_bytes_total", {{"op", op_name}})),
-              seconds(obs::metrics().histogram(
-                  "collective_seconds", {{"op", op_name}})),
               secondsDigest(obs::metrics().tdigest(
                   "collective_seconds_digest", {{"op", op_name}}))
         {
@@ -70,7 +62,6 @@ recordCollective(const char *op, const CommStats &stats,
     }
     m->ops.add(1.0);
     m->wireBytes.add(stats.wireBytes);
-    m->seconds.observe(stats.seconds);
     m->secondsDigest.observe(stats.seconds);
 }
 
@@ -173,15 +164,18 @@ CollectiveEngine::ringAllReduce(const std::vector<sim::SocId> &ring,
 
     const double chunk = bytes / static_cast<double>(n);
     const std::size_t rounds = 2 * (n - 1);
+    // Every round moves the same chunks over the same links: simulate
+    // one and charge an armed capture for all of them.
     const double roundTime =
-        clusterRef.network().makespan(ringRoundFlows(ring, chunk)) +
+        clusterRef.network().makespan(ringRoundFlows(ring, chunk),
+                                      rounds) +
         clusterRef.roundOverheadS(n);
 
     stats.seconds = roundTime * static_cast<double>(rounds);
     stats.wireBytes =
         chunk * static_cast<double>(n) * static_cast<double>(rounds);
     stats.rounds = rounds;
-    recordCollective("ring", stats, clusterRef.network().captureActive());
+    recordCollective("ring", stats);
     return stats;
 }
 
@@ -208,7 +202,7 @@ CollectiveEngine::paramServer(const std::vector<sim::SocId> &workers,
                     clusterRef.network().makespan(pull) + overhead;
     stats.wireBytes = 2.0 * bytes * static_cast<double>(clients.size());
     stats.rounds = 2;
-    recordCollective("param_server", stats, clusterRef.network().captureActive());
+    recordCollective("param_server", stats);
     return stats;
 }
 
@@ -339,7 +333,7 @@ CollectiveEngine::shardedParamServer(
         ex.stats.wireBytes +=
             static_cast<double>(clients.size()) * totalPush;
     ex.stats.rounds = 2;
-    recordCollective("sharded_ps", ex.stats, clusterRef.network().captureActive());
+    recordCollective("sharded_ps", ex.stats);
     return ex;
 }
 
@@ -383,7 +377,7 @@ CollectiveEngine::treeAggregate(const std::vector<sim::SocId> &nodes,
         stats.wireBytes += bytes * static_cast<double>(flows.size());
         ++stats.rounds;
     }
-    recordCollective("tree", stats, clusterRef.network().captureActive());
+    recordCollective("tree", stats);
     return stats;
 }
 
@@ -417,7 +411,7 @@ CollectiveEngine::broadcast(sim::SocId root,
         ++stats.rounds;
         holders += sends;
     }
-    recordCollective("broadcast", stats, clusterRef.network().captureActive());
+    recordCollective("broadcast", stats);
     return stats;
 }
 
@@ -456,7 +450,7 @@ CollectiveEngine::concurrentRings(
                          clusterRef.roundOverheadS(maxParticipants);
         ++stats.rounds;
     }
-    recordCollective("concurrent_rings", stats, clusterRef.network().captureActive());
+    recordCollective("concurrent_rings", stats);
     return stats;
 }
 
@@ -513,7 +507,7 @@ CollectiveEngine::hierarchicalAllReduce(
         fanout.wireBytes += b.wireBytes;
     }
     stats += fanout;
-    recordCollective("hierarchical", stats, clusterRef.network().captureActive());
+    recordCollective("hierarchical", stats);
     return stats;
 }
 
@@ -533,14 +527,15 @@ CollectiveEngine::ringAllReduceFrom(const std::vector<sim::SocId> &ring,
     const double chunk = bytes / static_cast<double>(n);
     const std::size_t rounds = totalRounds - first_round;
     const double roundTime =
-        clusterRef.network().makespan(ringRoundFlows(ring, chunk)) +
+        clusterRef.network().makespan(ringRoundFlows(ring, chunk),
+                                      rounds) +
         clusterRef.roundOverheadS(n);
 
     stats.seconds = roundTime * static_cast<double>(rounds);
     stats.wireBytes =
         chunk * static_cast<double>(n) * static_cast<double>(rounds);
     stats.rounds = rounds;
-    recordCollective("ring", stats, clusterRef.network().captureActive());
+    recordCollective("ring", stats);
     return stats;
 }
 

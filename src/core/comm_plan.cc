@@ -1,6 +1,7 @@
 #include "core/comm_plan.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -86,8 +87,10 @@ planSyncSchedule(const collectives::CollectiveEngine &engine,
 {
     SOCFLOW_ASSERT(plan.commGroup.size() == mapping.numGroups(),
                    "plan does not match mapping");
+    const sim::FlowNetwork &net = engine.cluster().network();
     SyncSchedule sched;
     sched.usedWaves = true;
+    net.beginCapture(&sched.capture);
     for (std::size_t wave = 0; wave < plan.numCommGroups; ++wave) {
         std::vector<std::vector<sim::SocId>> rings;
         for (std::size_t g = 0; g < mapping.numGroups(); ++g)
@@ -100,16 +103,23 @@ planSyncSchedule(const collectives::CollectiveEngine &engine,
         sched.waveSeconds.push_back(cost.seconds);
         sched.total += cost;
     }
+    net.endCapture();
+    if (sched.waveSeconds.size() < 2)
+        return sched;
     // The scheduler keeps whichever schedule is faster: when
     // contention is mild, two sequential waves can lose to the
     // all-at-once schedule purely through per-round overhead, and
     // the planner then degenerates to a single communication group.
+    sim::FlowCapture allAtOnceCap;
+    net.beginCapture(&allAtOnceCap);
     const collectives::CommStats allAtOnce =
         unplannedSyncCost(engine, mapping, bytes);
+    net.endCapture();
     if (allAtOnce.seconds < sched.total.seconds) {
         sched.usedWaves = false;
         sched.waveSeconds.assign(1, allAtOnce.seconds);
         sched.total = allAtOnce;
+        sched.capture = std::move(allAtOnceCap);
     }
     return sched;
 }

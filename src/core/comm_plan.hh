@@ -56,12 +56,20 @@ struct SyncSchedule {
      * overhead); waveSeconds then holds the single combined wave.
      */
     bool usedWaves = false;
+    /**
+     * Per-resource attribution of the kept schedule, recorded by the
+     * same pricing pass that produced `total` (one simulation per
+     * round, so capture.simulations == total.rounds).
+     */
+    sim::FlowCapture capture;
 };
 
 /**
  * Evaluate the planned schedule: waves run in sequence; within a
- * wave, the member rings run concurrently on the fabric. Keeps the
- * all-at-once schedule instead when that is faster.
+ * wave, the member rings run concurrently on the fabric. With two or
+ * more waves, keeps the all-at-once schedule instead when that is
+ * faster (a single wave *is* the all-at-once schedule). Each
+ * candidate is priced exactly once.
  * @param bytes gradient payload per ring.
  */
 SyncSchedule planSyncSchedule(const collectives::CollectiveEngine &engine,

@@ -53,7 +53,6 @@ struct TrainerMetrics {
     obs::Gauge &activeGroups;
     obs::Histogram &stepComputeS;
     obs::Histogram &stepSyncS;
-    obs::Histogram &recoveryS;
     obs::TDigest &recoveryDigest;
     obs::TDigest &rejoinDigest;
     obs::TDigest &clusterDigest;
@@ -89,8 +88,6 @@ struct TrainerMetrics {
               "trainer_step_compute_seconds")),
           stepSyncS(
               obs::metrics().histogram("trainer_step_sync_seconds")),
-          recoveryS(obs::metrics().histogram(
-              "fault_recovery_seconds")),
           recoveryDigest(obs::metrics().tdigest(
               "fault_recovery_seconds_digest")),
           rejoinDigest(
@@ -106,6 +103,22 @@ trainerMetrics()
 {
     static TrainerMetrics m;
     return m;
+}
+
+/** Fold a sync query's attribution, scaled by `scale`, into the
+ *  epoch's per-resource ledger. */
+void
+foldUsage(std::vector<sim::ResourceUsage> &ledger,
+          const sim::FlowCapture &cap, double scale)
+{
+    if (ledger.size() < cap.usage.size())
+        ledger.resize(cap.usage.size());
+    for (std::size_t r = 0; r < cap.usage.size(); ++r) {
+        const sim::ResourceUsage &u = cap.usage[r];
+        ledger[r].busySeconds += u.busySeconds * scale;
+        ledger[r].bytes += u.bytes * scale;
+        ledger[r].bindingSeconds += u.bindingSeconds * scale;
+    }
 }
 
 } // namespace
@@ -220,30 +233,36 @@ SoCFlowTrainer::groupComputeSeconds(const GroupState &g,
 double
 SoCFlowTrainer::stepSyncSeconds() const
 {
-    if (cachedStepSyncS >= 0.0)
-        return cachedStepSyncS;
+    SyncCosts &c = syncCosts;
+    if (c.stepS >= 0.0)
+        return c.stepS;
     const double bytes = profile.paramBytes();
     if (cfg.usePlanning) {
-        const SyncSchedule sched =
+        SyncSchedule sched =
             planSyncSchedule(engine, mapping, plan, bytes);
-        cachedWaveS = sched.waveSeconds;
-        cachedStepSyncS = sched.total.seconds;
+        c.waveS = std::move(sched.waveSeconds);
+        c.stepCap = std::move(sched.capture);
+        c.stepS = sched.total.seconds;
     } else {
-        const collectives::CommStats stats =
-            unplannedSyncCost(engine, mapping, bytes);
-        cachedWaveS.assign(1, stats.seconds);
-        cachedStepSyncS = stats.seconds;
+        const sim::FlowNetwork &net = cluster.network();
+        net.beginCapture(&c.stepCap);
+        c.stepS = unplannedSyncCost(engine, mapping, bytes).seconds;
+        net.endCapture();
+        c.waveS.assign(1, c.stepS);
     }
-    return cachedStepSyncS;
+    return c.stepS;
 }
 
 double
 SoCFlowTrainer::epochSyncSeconds() const
 {
-    if (cachedEpochSyncS >= 0.0)
-        return cachedEpochSyncS;
+    SyncCosts &c = syncCosts;
+    if (c.epochS >= 0.0)
+        return c.epochS;
     double total = 0.0;
     if (groups.size() > 1) {
+        const sim::FlowNetwork &net = cluster.network();
+        net.beginCapture(&c.epochCap);
         std::vector<sim::SocId> leaders;
         for (const auto &g : groups)
             leaders.push_back(g->socs.front());
@@ -262,6 +281,7 @@ SoCFlowTrainer::epochSyncSeconds() const
                                  profile.paramBytes())
                     .seconds);
         }
+        net.endCapture();
         total += worstBcast;
     }
     // Cross-group data shuffle: each SoC receives a fresh shard from
@@ -272,7 +292,7 @@ SoCFlowTrainer::epochSyncSeconds() const
         static_cast<double>(cfg.numSocs);
     total += shardBytes / (cluster.config().socLinkBps / 8.0) +
              cluster.config().messageLatencyS;
-    cachedEpochSyncS = total;
+    c.epochS = total;
     return total;
 }
 
@@ -292,42 +312,6 @@ SoCFlowTrainer::leaderAggregateSeconds(
             .seconds;
     }
     return engine.ringAllReduce(leaders, profile.paramBytes()).seconds;
-}
-
-void
-SoCFlowTrainer::captureSyncAttribution() const
-{
-    // Replay the memoized sync cost queries with a capture sink
-    // armed: same inputs, same const code paths, results discarded.
-    // The sink suppresses the replay's metric side effects
-    // (sim/flow_network.hh beginCapture), so this cannot perturb the
-    // timeline -- it only prices where the sync time goes.
-    const sim::FlowNetwork &net = cluster.network();
-    const double bytes = profile.paramBytes();
-    profStepCap = sim::FlowCapture{};
-    profEpochCap = sim::FlowCapture{};
-    net.beginCapture(&profStepCap);
-    if (cfg.usePlanning)
-        planSyncSchedule(engine, mapping, plan, bytes);
-    else
-        unplannedSyncCost(engine, mapping, bytes);
-    net.endCapture();
-    net.beginCapture(&profEpochCap);
-    if (groups.size() > 1) {
-        std::vector<sim::SocId> leaders;
-        for (const auto &g : groups)
-            leaders.push_back(g->socs.front());
-        leaderAggregateSeconds(std::move(leaders));
-        for (const auto &g : groups) {
-            if (g->socs.size() <= 1)
-                continue;
-            std::vector<sim::SocId> members(g->socs.begin() + 1,
-                                            g->socs.end());
-            engine.broadcast(g->socs.front(), members, bytes);
-        }
-    }
-    net.endCapture();
-    profCaptureValid = true;
 }
 
 void
@@ -412,10 +396,7 @@ SoCFlowTrainer::runEpoch()
         dispatchFired(faults->advanceTo(fault::FaultPoint{
                           epochCounter, 0, fault::FaultPhase::Compute}),
                       0);
-        cachedStepSyncS = -1.0;
-        cachedEpochSyncS = -1.0;
-        cachedWaveS.clear();
-        profCaptureValid = false;
+        invalidateSyncCosts();
         // Heal sweep: partition windows that expired with the advance
         // above release their boards; paused groups resume and
         // isolated SoCs rejoin before any training work is scheduled.
@@ -548,18 +529,8 @@ SoCFlowTrainer::runEpoch()
         // before the spans are laid out.
         std::vector<double> profWaves;
         if (profiling) {
-            if (!profCaptureValid)
-                captureSyncAttribution();
-            profWaves = cachedWaveS;
-            if (profEpochUse.size() < profStepCap.usage.size())
-                profEpochUse.resize(profStepCap.usage.size());
-            for (std::size_t r = 0; r < profStepCap.usage.size();
-                 ++r) {
-                const sim::ResourceUsage &u = profStepCap.usage[r];
-                profEpochUse[r].busySeconds += u.busySeconds * f;
-                profEpochUse[r].bytes += u.bytes * f;
-                profEpochUse[r].bindingSeconds += u.bindingSeconds * f;
-            }
+            profWaves = syncCosts.waveS;
+            foldUsage(profEpochUse, syncCosts.stepCap, f);
         }
 
         // Per-group training steps are independent until the wave
@@ -765,11 +736,11 @@ SoCFlowTrainer::runEpoch()
             // Sync waves: concurrent with compute under the CG plan,
             // strictly after it otherwise; waves run in sequence.
             double waveT = overlap ? t0 : t0 + stepComputeS * f;
-            for (std::size_t w = 0; w < cachedWaveS.size(); ++w) {
+            for (std::size_t w = 0; w < syncCosts.waveS.size(); ++w) {
                 tr.recordSpan("sync wave", "comm", obs::kTrackComm,
-                              waveT, cachedWaveS[w] * f,
+                              waveT, syncCosts.waveS[w] * f,
                               {{"wave", static_cast<double>(w)}});
-                waveT += cachedWaveS[w] * f;
+                waveT += syncCosts.waveS[w] * f;
             }
             tr.recordSpan("update", "update", obs::kTrackUpdate,
                           t0 + (stepWallS - updateS) * f, updateS * f);
@@ -802,8 +773,8 @@ SoCFlowTrainer::runEpoch()
             const std::size_t wave =
                 gi < plan.commGroup.size() ? plan.commGroup[gi] : 0;
             groupDigests[gi]->observe(
-                wave < cachedWaveS.size() ? cachedWaveS[wave]
-                                          : stepSync);
+                wave < syncCosts.waveS.size() ? syncCosts.waveS[wave]
+                                              : stepSync);
         }
 
         // Energy: CPU/NPU busy shares plus comm power.
@@ -954,21 +925,12 @@ SoCFlowTrainer::runEpoch()
     simClockS += epochSync;
 
     if (profiling) {
-        if (!profCaptureValid)
-            captureSyncAttribution();
         prof.addSpan(obs::kAllSlots, obs::Phase::HierarchicalSync,
                      profT, profT + epochSync);
         prof.noteEpochComm(epochSync);
         prof.attributeCommCritical(epochSync, epochSync);
         // The epoch aggregation runs once at paper scale (unscaled).
-        if (profEpochUse.size() < profEpochCap.usage.size())
-            profEpochUse.resize(profEpochCap.usage.size());
-        for (std::size_t r = 0; r < profEpochCap.usage.size(); ++r) {
-            const sim::ResourceUsage &u = profEpochCap.usage[r];
-            profEpochUse[r].busySeconds += u.busySeconds;
-            profEpochUse[r].bytes += u.bytes;
-            profEpochUse[r].bindingSeconds += u.bindingSeconds;
-        }
+        foldUsage(profEpochUse, syncCosts.epochCap, 1.0);
         profT += epochSync;
     }
 
@@ -1167,10 +1129,7 @@ SoCFlowTrainer::attachFaultInjector(fault::FaultInjector *injector)
 {
     faults = injector;
     engine.setFaultModel(injector);
-    cachedStepSyncS = -1.0;
-    cachedEpochSyncS = -1.0;
-    cachedWaveS.clear();
-    profCaptureValid = false;
+    invalidateSyncCosts();
 }
 
 double
@@ -1254,7 +1213,6 @@ SoCFlowTrainer::injectCrash(sim::SocId soc)
     timeline.mix(static_cast<std::uint64_t>(soc));
     timeline.mix(static_cast<std::uint64_t>(live.size()));
     timeline.mix(recoveryS);
-    m.recoveryS.observe(recoveryS);
     m.recoveryDigest.observe(recoveryS);
     tr.recordSpan("crash recovery", "fault", obs::kTrackControl,
                   simClockS, recoveryS,
@@ -1362,7 +1320,6 @@ SoCFlowTrainer::chargeCorruptedWave(const fault::FaultSpec &spec,
     tally.gradCorruptDetected += sync.corruptDetected;
     tally.chunksRetransmitted += sync.chunksRetransmitted;
     tally.recoverySeconds += extraS;
-    trainerMetrics().recoveryS.observe(extraS);
     trainerMetrics().recoveryDigest.observe(extraS);
     timeline.mix(std::uint64_t{0x43}); // 'C': corrupt-chunk recovery
     timeline.mix(static_cast<std::uint64_t>(burst));
@@ -1453,7 +1410,6 @@ SoCFlowTrainer::injectMidWaveCrash(sim::SocId soc, double progress,
     ++tally.waveResumes;
     tally.recoverySeconds += recoveryS;
     m.waveResumes.add(1.0);
-    m.recoveryS.observe(recoveryS);
     m.recoveryDigest.observe(recoveryS);
     timeline.mix(std::uint64_t{0x57}); // 'W': wave resume
     timeline.mix(static_cast<std::uint64_t>(soc));
@@ -1532,7 +1488,6 @@ SoCFlowTrainer::injectLeaderCrash(sim::SocId soc)
         ++tally.leaderElections;
         m.leaderElections.add(1.0);
     }
-    m.recoveryS.observe(recoveryS);
     m.recoveryDigest.observe(recoveryS);
     timeline.mix(std::uint64_t{0x4c}); // 'L': leader recovery
     timeline.mix(static_cast<std::uint64_t>(soc));
@@ -1577,10 +1532,7 @@ SoCFlowTrainer::rebuildTopology()
         mapping.members.push_back(g->socs);
     plan = planCommGroups(
         conflictGraph(mapping, cluster.config().socsPerBoard));
-    cachedStepSyncS = -1.0;
-    cachedEpochSyncS = -1.0;
-    cachedWaveS.clear();
-    profCaptureValid = false;
+    invalidateSyncCosts();
     // New groups may exist; re-emit track names on the next epoch.
     obsTracksNamed = false;
     groupDigests.clear();
@@ -1790,7 +1742,6 @@ SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
     remapLiveMembership();
 
     tally.recoverySeconds += detectS;
-    m.recoveryS.observe(detectS);
     m.recoveryDigest.observe(detectS);
     tr.recordSpan("partition fence", "fault", obs::kTrackControl,
                   simClockS, detectS,
@@ -2016,7 +1967,6 @@ SoCFlowTrainer::rejoinSoc(sim::SocId soc)
         isolatedSinceS.erase(it);
     }
     m.rejoinDigest.observe(downS);
-    m.recoveryS.observe(catchUpS);
     m.recoveryDigest.observe(catchUpS);
     timeline.mix(std::uint64_t{0x4a}); // 'J': SoC rejoin
     timeline.mix(static_cast<std::uint64_t>(soc));
@@ -2192,10 +2142,7 @@ SoCFlowTrainer::rebuildAllGroups()
     }
 
     groupDigests.clear();
-    cachedStepSyncS = -1.0;
-    cachedEpochSyncS = -1.0;
-    cachedWaveS.clear();
-    profCaptureValid = false;
+    invalidateSyncCosts();
     obsTracksNamed = false;
 }
 

@@ -363,16 +363,9 @@ class SoCFlowTrainer : public DistTrainer
     /** Profile alpha on the validation slice. */
     void profileAlpha();
 
-    /**
-     * Profiler support: replay the memoized sync cost queries (step
-     * waves + epoch aggregation) with a sim::FlowCapture armed on the
-     * cluster network, filling profStepCap/profEpochCap with
-     * per-resource busy/bytes/binding attribution. A pure accounting
-     * replay of const cost queries -- no timing, cache, RNG, or
-     * timeline state changes (obs/profiler.hh zero-perturbation
-     * contract). Re-run whenever the sync caches are invalidated.
-     */
-    void captureSyncAttribution() const;
+    /** Drop the memoized sync costs: call whenever the topology, the
+     *  CG plan, or the fault model's link/liveness state changes. */
+    void invalidateSyncCosts() { syncCosts = SyncCosts{}; }
 
     /** Install the model's (layer name, parameter count) table into
      *  the profiler once per trainer (latest registrant wins). */
@@ -514,22 +507,25 @@ class SoCFlowTrainer : public DistTrainer
     /** Deterministic digest of the fault/recovery timeline. */
     Fnv1a64 timeline;
 
-    // Cached per-step sync costs (topology-dependent only; reset by
-    // rebuildTopology). Mutable: they memoize const cost queries.
-    mutable double cachedStepSyncS = -1.0;
-    mutable double cachedEpochSyncS = -1.0;
-    /** Per-wave breakdown matching cachedStepSyncS (trace layout). */
-    mutable std::vector<double> cachedWaveS;
-
-    // Profiler attribution state (obs/profiler.hh). The captures
-    // memoize the replayed sync cost attribution alongside the cost
-    // caches above and share their invalidation points.
-    /** True while profStepCap/profEpochCap match the sync caches. */
-    mutable bool profCaptureValid = false;
-    /** Per-resource attribution of one step's sync waves. */
-    mutable sim::FlowCapture profStepCap;
-    /** Per-resource attribution of the epoch aggregation. */
-    mutable sim::FlowCapture profEpochCap;
+    /**
+     * Memoized sync pricing (topology-dependent only). Each query's
+     * per-resource attribution (obs/profiler.hh) is recorded by the
+     * same pricing pass as its seconds, so the two never disagree.
+     */
+    struct SyncCosts {
+        /** Intra-group sync seconds per step; negative until priced. */
+        double stepS = -1.0;
+        /** Per-wave breakdown of stepS (trace layout). */
+        std::vector<double> waveS;
+        /** Attribution of one step's sync waves. */
+        sim::FlowCapture stepCap;
+        /** Epoch aggregation seconds; negative until priced. */
+        double epochS = -1.0;
+        /** Attribution of the epoch aggregation's leader collectives. */
+        sim::FlowCapture epochCap;
+    };
+    /** Mutable: it memoizes const cost queries. */
+    mutable SyncCosts syncCosts;
     /** Layer table pushed to the profiler (once per trainer). */
     bool profLayersRegistered = false;
     /** Current epoch's accumulated per-resource usage (paper scale). */

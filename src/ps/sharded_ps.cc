@@ -578,22 +578,16 @@ ShardedPsTrainer::runEpoch()
                        static_cast<double>(nActive);
             pullB[s] = pushB[s] * pullFraction;
         }
+        // The capture records where the exchange's time went in the
+        // same pass that prices it (sim/flow_network.hh).
+        const sim::FlowNetwork &net = cluster.network();
+        net.beginCapture(&psCap);
         ex = engine.shardedParamServer(workerSocs, map.servers(),
                                        pushB, pullB,
                                        cfg.chainReplication);
+        net.endCapture();
         syncS = ex.stats.seconds;
         if (profiling) {
-            // Attribution replay of the cost query just made, with a
-            // capture sink armed: same inputs, same const code path,
-            // result discarded, metric side effects suppressed
-            // (sim/flow_network.hh) -- prices where the sync time
-            // went without perturbing anything.
-            const sim::FlowNetwork &net = cluster.network();
-            net.beginCapture(&psCap);
-            engine.shardedParamServer(workerSocs, map.servers(),
-                                      pushB, pullB,
-                                      cfg.chainReplication);
-            net.endCapture();
             double tp = 0.0, tl = 0.0;
             for (std::size_t s = 0; s < map.servers().size(); ++s) {
                 tp += pushB[s];

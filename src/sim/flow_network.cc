@@ -221,23 +221,23 @@ FlowNetwork::maxMinRates(const std::vector<const FlowSpec *> &active,
 }
 
 std::vector<FlowResult>
-FlowNetwork::simulate(const std::vector<FlowSpec> &flows) const
+FlowNetwork::simulate(const std::vector<FlowSpec> &flows,
+                      std::size_t repeats) const
 {
     const std::size_t n = flows.size();
     std::vector<FlowResult> results(n);
     if (n == 0)
         return results;
 
-    if (capture == nullptr) {
-        static obs::Counter &simCalls =
-            obs::metrics().counter("flow_network_simulations_total");
-        static obs::Counter &simFlows =
-            obs::metrics().counter("flow_network_flows_total");
-        simCalls.add(1.0);
-        simFlows.add(static_cast<double>(n));
-    } else {
-        ++capture->simulations;
-    }
+    static obs::Counter &simCalls =
+        obs::metrics().counter("flow_network_simulations_total");
+    static obs::Counter &simFlows =
+        obs::metrics().counter("flow_network_flows_total");
+    simCalls.add(1.0);
+    simFlows.add(static_cast<double>(n));
+    if (capture)
+        capture->simulations += repeats;
+    const double weight = static_cast<double>(repeats);
 
     std::vector<double> remainingBytes(n);
     std::vector<bool> arrived(n, false), done(n, false);
@@ -311,24 +311,25 @@ FlowNetwork::simulate(const std::vector<FlowSpec> &flows) const
                        "active flows but zero aggregate rate");
         dt = std::min(dt, nextArrival - now);
 
-        // Attribution replay: charge the interval to every resource a
-        // finite-rate flow crossed, and its full span to the binding
-        // constraint the first filling pass identified.
+        // Attribution: charge the interval (once per repeat) to every
+        // resource a finite-rate flow crossed, and its full span to the
+        // binding constraint the first filling pass identified.
         if (capture && dt > 0.0) {
+            const double charged = dt * weight;
             std::vector<ResourceUsage> &use = capture->usage;
             std::vector<char> touched(use.size(), 0);
             for (std::size_t k = 0; k < active.size(); ++k) {
                 if (!std::isfinite(rates[k]))
                     continue;
                 for (ResourceId r : active[k]->path) {
-                    use[r].bytes += rates[k] * dt;
+                    use[r].bytes += rates[k] * charged;
                     touched[r] = 1;
                 }
             }
             for (ResourceId r = 0; r < use.size(); ++r)
                 if (touched[r])
-                    use[r].busySeconds += dt;
-            use[binding].bindingSeconds += dt;
+                    use[r].busySeconds += charged;
+            use[binding].bindingSeconds += charged;
         }
 
         // Drain bytes over the interval.
@@ -359,12 +360,13 @@ FlowNetwork::simulate(const std::vector<FlowSpec> &flows) const
 }
 
 double
-FlowNetwork::makespan(const std::vector<FlowSpec> &flows) const
+FlowNetwork::makespan(const std::vector<FlowSpec> &flows,
+                      std::size_t repeats) const
 {
     double finish = 0.0;
-    for (const auto &r : simulate(flows))
+    for (const auto &r : simulate(flows, repeats))
         finish = std::max(finish, r.finishS);
-    if (!flows.empty() && capture == nullptr) {
+    if (!flows.empty()) {
         static obs::Histogram &span =
             obs::metrics().histogram("flow_network_makespan_seconds");
         span.observe(finish);

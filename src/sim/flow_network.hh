@@ -72,12 +72,14 @@ struct ResourceUsage {
 };
 
 /**
- * Passive attribution sink for replayed simulate() calls. Armed via
- * FlowNetwork::beginCapture by the profiler's cost-replay path; never
- * armed on the simulation's own cost queries.
+ * Passive per-resource attribution sink. Armed via
+ * FlowNetwork::beginCapture around a cost query, it is charged by the
+ * query's own simulate() calls -- the pricing pass that produces the
+ * query's seconds also says which links those seconds were spent on.
  */
 struct FlowCapture {
     std::vector<ResourceUsage> usage;  //!< indexed by ResourceId
+    /** Simulations charged (a repeated flow set counts each repeat). */
     std::size_t simulations = 0;
 };
 
@@ -120,17 +122,21 @@ class FlowNetwork
     const std::string &name(ResourceId id) const;
 
     /**
-     * Simulate a set of flows to completion.
+     * Simulate a set of flows to completion. With `repeats` > 1 the
+     * set stands for that many identical back-to-back rounds (a ring
+     * all-reduce): it is simulated once, and an armed capture is
+     * charged `repeats` times.
      * @return per-flow results, parallel to the input vector.
      */
-    std::vector<FlowResult> simulate(
-        const std::vector<FlowSpec> &flows) const;
+    std::vector<FlowResult> simulate(const std::vector<FlowSpec> &flows,
+                                     std::size_t repeats = 1) const;
 
     /**
      * Convenience: duration until the last flow in the set finishes,
-     * measured from t = 0.
+     * measured from t = 0 (`repeats` as for simulate()).
      */
-    double makespan(const std::vector<FlowSpec> &flows) const;
+    double makespan(const std::vector<FlowSpec> &flows,
+                    std::size_t repeats = 1) const;
 
     /**
      * Compute instantaneous max-min fair rates (bytes/s) for a set of
@@ -154,10 +160,8 @@ class FlowNetwork
     /**
      * Arm a passive attribution sink: subsequent simulate()/makespan()
      * calls accumulate per-resource busy/bytes/binding seconds into
-     * `sink` and suppress their metric side effects (a captured run
-     * is an accounting *replay* of a cost query, not a new
-     * simulation). Rates and results are byte-identical with and
-     * without a sink armed. Serial use only: arm, replay, disarm on
+     * `sink`. Rates, results and metrics are identical with and
+     * without a sink armed. Serial use only: arm, price, disarm on
      * one thread; nested arming is an internal error.
      */
     void beginCapture(FlowCapture *sink) const;
@@ -165,17 +169,13 @@ class FlowNetwork
     /** Disarm the capture sink installed by beginCapture(). */
     void endCapture() const;
 
-    /** True while a capture sink is armed. */
-    bool captureActive() const { return capture != nullptr; }
-
   private:
     double congestionExp;
     std::vector<double> capacities;
     std::vector<std::string> names;
     /**
-     * Armed attribution sink. Mutable: capture replays re-run const
-     * cost queries purely for attribution, leaving results and
-     * registered resources untouched.
+     * Armed attribution sink. Mutable: arming observes const cost
+     * queries, leaving results and registered resources untouched.
      */
     mutable FlowCapture *capture = nullptr;
 };

@@ -157,6 +157,56 @@ TEST(CollectiveEngine, ZeroBytesIsFree)
     EXPECT_EQ(eng.treeAggregate(firstSocs(4), 0.0).seconds, 0.0);
 }
 
+/**
+ * A ring all-reduce prices one round and scales it by the round
+ * count; the flow capture must still see every round, exactly as the
+ * round-by-round concurrentRings pricing of the same ring does.
+ */
+TEST(CollectiveEngine, RingCaptureChargesEveryRound)
+{
+    Cluster c = cluster60();
+    CollectiveEngine eng(c);
+    const sim::FlowNetwork &net = c.network();
+    const std::vector<SocId> ring = firstSocs(12);
+    const auto captured = [&](const auto &query) {
+        sim::FlowCapture cap;
+        net.beginCapture(&cap);
+        query();
+        net.endCapture();
+        return cap;
+    };
+    const sim::FlowCapture single =
+        captured([&] { eng.ringAllReduce(ring, 10e6); });
+    const sim::FlowCapture rounds =
+        captured([&] { eng.concurrentRings({ring}, 10e6); });
+    const std::size_t first = 5;
+    const sim::FlowCapture tail =
+        captured([&] { eng.ringAllReduceFrom(ring, 10e6, first); });
+
+    const std::size_t total = 2 * (ring.size() - 1);
+    EXPECT_EQ(single.simulations, total);
+    EXPECT_EQ(rounds.simulations, total);
+    EXPECT_EQ(tail.simulations, total - first);
+    const double tailShare =
+        static_cast<double>(total - first) / static_cast<double>(total);
+    const auto expectNear = [](double got, double want) {
+        EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, std::fabs(want)));
+    };
+    double binding = 0.0;
+    ASSERT_EQ(single.usage.size(), rounds.usage.size());
+    for (std::size_t r = 0; r < rounds.usage.size(); ++r) {
+        const sim::ResourceUsage &want = rounds.usage[r];
+        expectNear(single.usage[r].busySeconds, want.busySeconds);
+        expectNear(single.usage[r].bytes, want.bytes);
+        expectNear(single.usage[r].bindingSeconds, want.bindingSeconds);
+        expectNear(tail.usage[r].bytes, want.bytes * tailShare);
+        expectNear(tail.usage[r].bindingSeconds,
+                   want.bindingSeconds * tailShare);
+        binding += single.usage[r].bindingSeconds;
+    }
+    EXPECT_GT(binding, 0.0);
+}
+
 // ------------------------------------------------------------ reducers
 
 TEST(Reduce, VecAddAndScale)

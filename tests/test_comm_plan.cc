@@ -10,6 +10,7 @@
 #include "collectives/engine.hh"
 #include "core/comm_plan.hh"
 #include "core/mapping.hh"
+#include "obs/metrics.hh"
 #include "sim/cluster.hh"
 #include "util/rng.hh"
 
@@ -156,6 +157,9 @@ TEST_P(CommPlanSweep, SyncScheduleWavesMatchTotal)
                     1e-9 * std::max(1.0, sum));
     EXPECT_NEAR(sched.total.seconds,
                 plannedSyncCost(eng, m, plan, 37e6).seconds, 1e-12);
+    // The attribution covers the kept schedule only: one simulation
+    // per round, none from a rejected candidate.
+    EXPECT_EQ(sched.capture.simulations, sched.total.rounds);
 }
 
 // --------------------------------------------- Theorem 2: chain shape
@@ -277,4 +281,25 @@ TEST(CommPlan, PlanningHelpsContendedMapping)
             unplannedSyncCost(eng, m, 37e6).seconds;
         EXPECT_LT(planned, unplanned);
     }
+}
+
+/**
+ * A one-wave plan is already the all-at-once schedule: the planner
+ * prices it once, one flow simulation per round.
+ */
+TEST(CommPlan, OneWavePlanIsPricedOnce)
+{
+    sim::Cluster c = cluster(60);
+    collectives::CollectiveEngine eng(c);
+    const Mapping m =
+        mapGroups(60, 5, 12, MapStrategy::IntegrityGreedy);
+    const CommPlan plan = planCommGroups(conflictGraph(m, 5));
+    ASSERT_EQ(plan.numCommGroups, 1u);
+    obs::Counter &sims =
+        obs::metrics().counter("flow_network_simulations_total");
+    const double before = sims.value();
+    const SyncSchedule sched = planSyncSchedule(eng, m, plan, 37e6);
+    EXPECT_GT(sched.total.rounds, 0u);
+    EXPECT_EQ(sims.value() - before,
+              static_cast<double>(sched.total.rounds));
 }

@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "obs/metrics.hh"
 #include "sim/flow_network.hh"
 #include "util/rng.hh"
 
@@ -138,6 +139,58 @@ TEST(FlowNetwork, ResourceAccessors)
     EXPECT_EQ(net.numResources(), 1u);
     EXPECT_EQ(net.capacity(r), 42.0);
     EXPECT_EQ(net.name(r), "mylink");
+}
+
+// ------------------------------------------------------ flow capture
+
+TEST(FlowCapture, ArmedSinkLeavesResultsBitIdentical)
+{
+    FlowNetwork net(0.3);
+    const auto a = net.addResource(100.0, "a");
+    const auto b = net.addResource(40.0, "b");
+    const std::vector<FlowSpec> flows = {
+        makeFlow(500.0, {a}), makeFlow(300.0, {a, b}, 0.5, 0.01),
+        makeFlow(200.0, {b}, 1.0), makeFlow(0.0, {a}, 2.0)};
+    const auto plain = net.simulate(flows);
+    FlowCapture cap;
+    net.beginCapture(&cap);
+    const auto armed = net.simulate(flows);
+    net.endCapture();
+    ASSERT_EQ(plain.size(), armed.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+        EXPECT_EQ(plain[i].startS, armed[i].startS) << i;
+        EXPECT_EQ(plain[i].finishS, armed[i].finishS) << i;
+        EXPECT_EQ(plain[i].meanRate, armed[i].meanRate) << i;
+    }
+    EXPECT_EQ(cap.simulations, 1u);
+}
+
+TEST(FlowCapture, SharedLinkChargesBusyBindingAndBytes)
+{
+    FlowNetwork net;
+    const auto r = net.addResource(100.0, "link");
+    FlowCapture cap;
+    net.beginCapture(&cap);
+    net.simulate({makeFlow(1000.0, {r}), makeFlow(1000.0, {r})});
+    net.endCapture();
+    ASSERT_EQ(cap.usage.size(), 1u);
+    EXPECT_DOUBLE_EQ(cap.usage[r].busySeconds, 20.0);
+    EXPECT_DOUBLE_EQ(cap.usage[r].bindingSeconds, 20.0);
+    EXPECT_DOUBLE_EQ(cap.usage[r].bytes, 2000.0);
+}
+
+TEST(FlowCapture, ArmedRunCountsOneSimulation)
+{
+    FlowNetwork net;
+    const auto r = net.addResource(100.0, "link");
+    obs::Counter &sims =
+        obs::metrics().counter("flow_network_simulations_total");
+    const double before = sims.value();
+    FlowCapture cap;
+    net.beginCapture(&cap);
+    net.simulate({makeFlow(1000.0, {r})});
+    net.endCapture();
+    EXPECT_EQ(sims.value(), before + 1.0);
 }
 
 TEST(FlowNetworkDeath, NonPositiveCapacityPanics)
