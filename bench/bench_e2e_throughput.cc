@@ -18,7 +18,10 @@
  *   --bench-json=<p>  write the machine-readable report here
  *   --baseline=<p>    compare against a committed BENCH_*.json and
  *                     exit non-zero if epochs/sec at the anchor
- *                     thread count regressed by more than 10%
+ *                     thread count regressed by more than 10%, or if
+ *                     any row's timeline hash differs from the
+ *                     baseline row with the same (label, threads) --
+ *                     a behaviour change, not a speedup
  *   --smoke           tiny scenario + {1,2} threads for ctest
  *
  * Workflow (see README "Performance baseline"):
@@ -264,6 +267,24 @@ main(int argc, char **argv)
             std::fprintf(stderr, "failed to read baseline %s\n",
                          bench::benchBaselinePath().c_str());
             return 1;
+        }
+        // Behaviour gate: the timeline hash is the oracle that a
+        // speedup did not change what the simulator computes.
+        for (const auto &r : report.runs) {
+            for (const auto &b : baseline.runs) {
+                if (b.label != r.label || b.threads != r.threads ||
+                    b.timelineHash == r.timelineHash)
+                    continue;
+                std::fprintf(
+                    stderr,
+                    "FAIL: timeline hash %016llx differs from baseline "
+                    "%016llx (%s scenario, %zu threads) in %s\n",
+                    static_cast<unsigned long long>(r.timelineHash),
+                    static_cast<unsigned long long>(b.timelineHash),
+                    r.label.empty() ? "single-rack" : r.label.c_str(),
+                    r.threads, bench::benchBaselinePath().c_str());
+                return 1;
+            }
         }
         const bench::BenchRun *cur = anchorRun(report, 4);
         const bench::BenchRun *ref = anchorRun(baseline, 4);

@@ -135,6 +135,14 @@ SoCFlowTrainer::GroupState::GroupState(std::vector<sim::SocId> socs_in,
         std::make_unique<quant::Int8Trainer>(int8, scfg, qcfg, seed);
 }
 
+void
+SoCFlowTrainer::GroupState::restore(const std::vector<float> &w)
+{
+    fp32.setFlatParams(w);
+    int8.setFlatParams(w);
+    sgd->resetState();
+}
+
 SoCFlowTrainer::SoCFlowTrainer(SoCFlowConfig config,
                                const data::DataBundle &bundle_in,
                                const std::vector<float> *initial)
@@ -144,9 +152,6 @@ SoCFlowTrainer::SoCFlowTrainer(SoCFlowConfig config,
       meter(), dvfs(cfg.numSocs, cfg.dvfs, cfg.seed ^ 0xdf5),
       fullMapping(mapGroups(cfg.numSocs, cluster.config().socsPerBoard,
                             cfg.numGroups, cfg.mapping)),
-      mapping(fullMapping),
-      plan(planCommGroups(
-          conflictGraph(mapping, cluster.config().socsPerBoard))),
       mpc(profile.cpuMsPerSample,
           profile.cpuMsPerSample / profile.npuSpeedup),
       rng(cfg.seed)
@@ -154,6 +159,17 @@ SoCFlowTrainer::SoCFlowTrainer(SoCFlowConfig config,
     if (cfg.numGroups == 0 || cfg.numGroups > cfg.numSocs)
         fatal("invalid group count ", cfg.numGroups);
     engine.setSyncPolicy(cfg.sync);
+    bootGroups(initial);
+}
+
+void
+SoCFlowTrainer::bootGroups(const std::vector<float> *initial)
+{
+    deadSocs.clear();
+    isolatedSocs.clear();
+    isolatedSinceS.clear();
+    pausedGroups.clear();
+    quorumLost = false;
 
     membership::PhiConfig pc;
     pc.threshold = cfg.phiThreshold;
@@ -166,12 +182,14 @@ SoCFlowTrainer::SoCFlowTrainer(SoCFlowConfig config,
     if (initial)
         proto.setFlatParams(*initial);
 
-    groups.reserve(mapping.numGroups());
-    for (std::size_t g = 0; g < mapping.numGroups(); ++g) {
+    groups.clear();
+    groups.reserve(fullMapping.numGroups());
+    for (std::size_t g = 0; g < fullMapping.numGroups(); ++g) {
         groups.push_back(std::make_unique<GroupState>(
-            mapping.members[g], proto, cfg.sgd, cfg.quant,
+            fullMapping.members[g], proto, cfg.sgd, cfg.quant,
             cfg.seed + 101 * (g + 1)));
     }
+    rebuildTopology();
 }
 
 double
@@ -425,6 +443,17 @@ SoCFlowTrainer::runEpoch()
     obs::Profiler &prof = obs::profiler();
     const bool profiling = prof.enabled();
     double profT = 0.0;
+    // Closing recovery span of an epoch that trained (recovery work
+    // happened once at paper scale, after the steps).
+    const auto profileRecovery = [&] {
+        if (rec.recoverySeconds <= 0.0)
+            return;
+        prof.addSpan(obs::kAllSlots, obs::Phase::Recovery, profT,
+                     profT + rec.recoverySeconds);
+        prof.attributeCritical("fault-recovery", rec.recoverySeconds,
+                               rec.recoverySeconds);
+        profT += rec.recoverySeconds;
+    };
     if (profiling) {
         registerProfilerLayers();
         prof.beginEpoch(groups.size());
@@ -438,14 +467,7 @@ SoCFlowTrainer::runEpoch()
     // training resumes the epoch the cut heals.
     if (quorumLost) {
         rec.paused = true;
-        rec.crashes = tally.crashes;
-        rec.recoverySeconds = tally.recoverySeconds;
-        rec.partitions = tally.partitions;
-        rec.rejoins = tally.rejoins;
-        rec.fencedStaleMsgs = fencedTotal - fencedReported;
-        fencedReported = fencedTotal;
-        rec.simSeconds = tally.recoverySeconds;
-        tally = RecoveryTally{};
+        closeTally(rec);
         ++epochCounter;
         timeline.mix(std::uint64_t{0x51}); // 'Q': quorum pause
         timeline.mix(static_cast<std::uint64_t>(epochCounter));
@@ -502,20 +524,23 @@ SoCFlowTrainer::runEpoch()
     double commSocSecondsSum = 0.0;
 
     std::vector<std::size_t> cursor(groups.size(), 0);
+    // A fault may have changed the group set; re-shard when it did
+    // (the lost group's data redistributes over the survivors).
+    const auto reshardOnResize = [&] {
+        if (groups.size() != shards.size()) {
+            shards =
+                data::shardIid(bundle.train.size(), groups.size(), rng);
+            cursor.assign(groups.size(), 0);
+        }
+    };
     for (std::size_t step = 0; step < steps; ++step) {
-        // Step-granular faults land before this step's compute. A
-        // crash may have changed the group set; re-shard when it did
-        // (the lost group's data redistributes over the survivors).
+        // Step-granular faults land before this step's compute.
         if (faults) {
             dispatchFired(
                 faults->advanceTo(fault::FaultPoint{
                     epochCounter, step, fault::FaultPhase::Compute}),
                 step);
-            if (groups.size() != shards.size()) {
-                shards = data::shardIid(bundle.train.size(),
-                                        groups.size(), rng);
-                cursor.assign(groups.size(), 0);
-            }
+            reshardOnResize();
         }
         if (fleetDown)
             break; // power lost before this step's compute
@@ -650,11 +675,7 @@ SoCFlowTrainer::runEpoch()
                 faults->advanceTo(fault::FaultPoint{
                     epochCounter, step, fault::FaultPhase::Wave2}),
                 step);
-            if (groups.size() != shards.size()) {
-                shards = data::shardIid(bundle.train.size(),
-                                        groups.size(), rng);
-                cursor.assign(groups.size(), 0);
-            }
+            reshardOnResize();
         }
         if (fleetDown)
             break; // power lost mid-wave: the step never commits
@@ -818,32 +839,13 @@ SoCFlowTrainer::runEpoch()
     // outage folds into the aborted record.
     if (fleetDown) {
         rec.powerLost = true;
-        rec.crashes = tally.crashes;
-        rec.recoverySeconds = tally.recoverySeconds;
-        rec.waveResumes = tally.waveResumes;
-        rec.leaderElections = tally.leaderElections;
-        rec.gradCorruptDetected = tally.gradCorruptDetected;
-        rec.chunksRetransmitted = tally.chunksRetransmitted;
-        rec.syncFailures = tally.syncFailures;
-        rec.partitions = tally.partitions;
-        rec.rejoins = tally.rejoins;
-        rec.fencedStaleMsgs = fencedTotal - fencedReported;
-        fencedReported = fencedTotal;
-        rec.simSeconds += tally.recoverySeconds;
-        rec.syncSeconds += tally.recoverySeconds;
-        tally = RecoveryTally{};
+        closeTally(rec);
+        rec.syncSeconds += rec.recoverySeconds;
         rec.energyJoules = meter.totalJoules();
         rec.trainLoss = sampleSum ? lossSum / sampleSum : 0.0;
         rec.trainAcc = sampleSum ? accSum / sampleSum : 0.0;
         if (profiling) {
-            if (rec.recoverySeconds > 0.0) {
-                prof.addSpan(obs::kAllSlots, obs::Phase::Recovery,
-                             profT, profT + rec.recoverySeconds);
-                prof.attributeCritical("fault-recovery",
-                                       rec.recoverySeconds,
-                                       rec.recoverySeconds);
-                profT += rec.recoverySeconds;
-            }
+            profileRecovery();
             prof.noteTimelineHash(timeline.value());
             prof.endEpoch(rec.simSeconds);
         }
@@ -970,28 +972,10 @@ SoCFlowTrainer::runEpoch()
 
     // Recovery work (timeouts + backoff + resumed/degraded re-syncs)
     // happened once at paper scale, like the epoch aggregation.
-    rec.crashes = tally.crashes;
-    rec.recoverySeconds = tally.recoverySeconds;
-    rec.waveResumes = tally.waveResumes;
-    rec.leaderElections = tally.leaderElections;
-    rec.gradCorruptDetected = tally.gradCorruptDetected;
-    rec.chunksRetransmitted = tally.chunksRetransmitted;
-    rec.syncFailures = tally.syncFailures;
-    rec.partitions = tally.partitions;
-    rec.rejoins = tally.rejoins;
-    rec.fencedStaleMsgs = fencedTotal - fencedReported;
-    fencedReported = fencedTotal;
-    rec.syncSeconds += tally.recoverySeconds;
-    rec.simSeconds += tally.recoverySeconds;
-    tally = RecoveryTally{};
-
-    if (profiling && rec.recoverySeconds > 0.0) {
-        prof.addSpan(obs::kAllSlots, obs::Phase::Recovery, profT,
-                     profT + rec.recoverySeconds);
-        prof.attributeCritical("fault-recovery", rec.recoverySeconds,
-                               rec.recoverySeconds);
-        profT += rec.recoverySeconds;
-    }
+    closeTally(rec);
+    rec.syncSeconds += rec.recoverySeconds;
+    if (profiling)
+        profileRecovery();
 
     rec.energyJoules = meter.totalJoules();
     rec.trainLoss = sampleSum ? lossSum / sampleSum : 0.0;
@@ -1028,6 +1012,24 @@ SoCFlowTrainer::runEpoch()
         prof.endEpoch(rec.simSeconds);
     }
     return rec;
+}
+
+void
+SoCFlowTrainer::closeTally(EpochRecord &rec)
+{
+    rec.crashes = tally.crashes;
+    rec.recoverySeconds = tally.recoverySeconds;
+    rec.waveResumes = tally.waveResumes;
+    rec.leaderElections = tally.leaderElections;
+    rec.gradCorruptDetected = tally.gradCorruptDetected;
+    rec.chunksRetransmitted = tally.chunksRetransmitted;
+    rec.syncFailures = tally.syncFailures;
+    rec.partitions = tally.partitions;
+    rec.rejoins = tally.rejoins;
+    rec.fencedStaleMsgs = fencedTotal - fencedReported;
+    fencedReported = fencedTotal;
+    rec.simSeconds += tally.recoverySeconds;
+    tally = RecoveryTally{};
 }
 
 double
@@ -1083,9 +1085,9 @@ SoCFlowTrainer::setActiveGroups(std::size_t n)
                      groups.end());
     } else {
         // Re-admit groups seeded from the consensus checkpoint.
-        // Crashed SoCs never come back, and SoCs a crash-recovery
-        // remap moved into another active group must not be claimed
-        // twice, so candidate member lists are filtered first.
+        // Candidates must pass the eligibility rule (no crashed, cut
+        // off or parked SoC), and SoCs a crash-recovery remap moved
+        // into another active group must not be claimed twice.
         const std::vector<float> w = globalWeights();
         nn::Model proto = groups.front()->fp32;
         proto.setFlatParams(w);
@@ -1096,11 +1098,8 @@ SoCFlowTrainer::setActiveGroups(std::size_t n)
             const std::size_t g = groups.size();
             std::vector<sim::SocId> members;
             for (sim::SocId s : fullMapping.members[g]) {
-                if (deadSocs.count(s) || inUse.count(s))
-                    continue;
-                if (faults && !faults->socAlive(s))
-                    continue;
-                members.push_back(s);
+                if (!inUse.count(s) && eligible(s))
+                    members.push_back(s);
             }
             if (members.empty()) {
                 warn("cannot re-admit logical group ", g,
@@ -1114,12 +1113,9 @@ SoCFlowTrainer::setActiveGroups(std::size_t n)
         }
     }
     rebuildTopology();
-    // Elastic resize is a membership change like any other: bump the
-    // generation so anything a preempted group left in flight is
-    // fenced, never folded into a later aggregate.
-    gate.bump();
-    for (auto &g : groups)
-        g->generation = gate.current();
+    // Bump the generation so anything a preempted group left in
+    // flight is fenced, never folded into a later aggregate.
+    bumpGeneration();
     obs::tracer().recordInstant("resize active groups", "control",
                                 obs::kTrackControl, simClockS);
 }
@@ -1135,21 +1131,10 @@ SoCFlowTrainer::attachFaultInjector(fault::FaultInjector *injector)
 double
 SoCFlowTrainer::injectCrash(sim::SocId soc)
 {
-    TrainerMetrics &m = trainerMetrics();
-    deadSocs.insert(soc);
-    isolatedSinceS[soc] = simClockS;
-    detector.forget(soc);
-
-    // Locate the owning active group; a crash on an idle SoC only
-    // blocks its future re-admission.
-    const std::size_t gi = owningGroup(soc);
+    // A crash on an idle SoC only blocks its future re-admission.
+    const std::size_t gi = markCrashed(soc, "soc crash");
     if (gi == groups.size())
         return 0.0;
-
-    m.crashes.add(1.0);
-    obs::Tracer &tr = obs::tracer();
-    tr.recordInstant("soc crash", "fault", obs::kTrackControl,
-                     simClockS);
 
     // The in-flight sync: each attempt stalls for the timeout and
     // backs off exponentially, then the ring degrades to the group's
@@ -1169,11 +1154,7 @@ SoCFlowTrainer::injectCrash(sim::SocId soc)
         groups[donor]->fp32.flatParams();
 
     // Survivor set across all active groups.
-    std::vector<sim::SocId> live;
-    for (const auto &g : groups)
-        for (sim::SocId s : g->socs)
-            if (!deadSocs.count(s))
-                live.push_back(s);
+    const std::vector<sim::SocId> live = liveMembers();
     if (live.empty()) {
         obs::flightRecorder().dumpPostMortem("unsurvivable-crash",
                                              timeline.value());
@@ -1191,34 +1172,19 @@ SoCFlowTrainer::injectCrash(sim::SocId soc)
             groups.pop_back();
     }
 
-    // Re-run integrity-greedy mapping on the survivor set and hand
-    // the new member lists to the group replicas.
-    const Mapping remap =
-        mapGroupsOnto(live, cluster.config().socsPerBoard,
-                      groups.size(), cfg.mapping);
-    for (std::size_t g = 0; g < groups.size(); ++g)
-        groups[g]->socs = remap.members[g];
-
-    if (crashedGroupSurvives) {
-        GroupState &g = *groups[gi];
-        g.fp32.setFlatParams(consensus);
-        g.int8.setFlatParams(consensus);
-        g.sgd->resetState();
-    }
+    // Re-run integrity-greedy mapping on the survivor set.
+    remapOnto(live);
+    if (crashedGroupSurvives)
+        groups[gi]->restore(consensus);
     rebuildTopology();
 
-    ++tally.crashes;
-    tally.recoverySeconds += recoveryS;
     timeline.mix(std::uint64_t{0x58}); // 'X': full crash recovery
     timeline.mix(static_cast<std::uint64_t>(soc));
     timeline.mix(static_cast<std::uint64_t>(live.size()));
     timeline.mix(recoveryS);
-    m.recoveryDigest.observe(recoveryS);
-    tr.recordSpan("crash recovery", "fault", obs::kTrackControl,
-                  simClockS, recoveryS,
-                  {{"soc", static_cast<double>(soc)},
-                   {"retries", static_cast<double>(sync.retries)}});
-    simClockS += recoveryS;
+    chargeRecovery("crash recovery", recoveryS,
+                   {{"soc", static_cast<double>(soc)},
+                    {"retries", static_cast<double>(sync.retries)}});
     inform("SoC ", soc, " crashed; recovered onto ", live.size(),
            " survivors in ", groups.size(), " groups");
     return recoveryS;
@@ -1233,6 +1199,33 @@ SoCFlowTrainer::owningGroup(sim::SocId soc) const
             return g;
     }
     return groups.size();
+}
+
+std::size_t
+SoCFlowTrainer::markCrashed(sim::SocId soc, const char *event)
+{
+    deadSocs.insert(soc);
+    isolatedSinceS[soc] = simClockS;
+    detector.forget(soc);
+    const std::size_t gi = owningGroup(soc);
+    if (gi != groups.size()) {
+        trainerMetrics().crashes.add(1.0);
+        ++tally.crashes;
+        obs::tracer().recordInstant(event, "fault", obs::kTrackControl,
+                                    simClockS);
+    }
+    return gi;
+}
+
+void
+SoCFlowTrainer::chargeRecovery(const char *span, double seconds,
+                               std::initializer_list<obs::SpanArg> args)
+{
+    tally.recoverySeconds += seconds;
+    trainerMetrics().recoveryDigest.observe(seconds);
+    obs::tracer().recordSpan(span, "fault", obs::kTrackControl,
+                             simClockS, seconds, args);
+    simClockS += seconds;
 }
 
 void
@@ -1319,22 +1312,15 @@ SoCFlowTrainer::chargeCorruptedWave(const fault::FaultSpec &spec,
 
     tally.gradCorruptDetected += sync.corruptDetected;
     tally.chunksRetransmitted += sync.chunksRetransmitted;
-    tally.recoverySeconds += extraS;
-    trainerMetrics().recoveryDigest.observe(extraS);
     timeline.mix(std::uint64_t{0x43}); // 'C': corrupt-chunk recovery
     timeline.mix(static_cast<std::uint64_t>(burst));
     timeline.mix(static_cast<std::uint64_t>(sync.chunksRetransmitted));
     timeline.mix(extraS);
-
-    obs::Tracer &tr = obs::tracer();
-    tr.recordSpan(
-        "chunk retransmit", "fault", obs::kTrackControl, simClockS,
-        extraS,
-        {{"step", static_cast<double>(step)},
-         {"burst", static_cast<double>(burst)},
-         {"retransmitted",
-          static_cast<double>(sync.chunksRetransmitted)}});
-    simClockS += extraS;
+    chargeRecovery("chunk retransmit", extraS,
+                   {{"step", static_cast<double>(step)},
+                    {"burst", static_cast<double>(burst)},
+                    {"retransmitted",
+                     static_cast<double>(sync.chunksRetransmitted)}});
 
     if (!sync.ok()) {
         // Retry budget exhausted: the wave's partial sum is poisoned.
@@ -1347,16 +1333,10 @@ SoCFlowTrainer::chargeCorruptedWave(const fault::FaultSpec &spec,
              collectives::syncErrorName(sync.error),
              "); dropping group ", gi, "'s update");
         const std::size_t donor = (gi == 0 && groups.size() > 1) ? 1 : 0;
-        if (donor != gi) {
-            GroupState &g = *groups[gi];
-            const std::vector<float> consensus =
-                groups[donor]->fp32.flatParams();
-            g.fp32.setFlatParams(consensus);
-            g.int8.setFlatParams(consensus);
-            g.sgd->resetState();
-        }
-        tr.recordInstant("sync failure", "fault", obs::kTrackControl,
-                         simClockS);
+        if (donor != gi)
+            groups[gi]->restore(groups[donor]->fp32.flatParams());
+        obs::tracer().recordInstant("sync failure", "fault",
+                                    obs::kTrackControl, simClockS);
         obs::flightRecorder().dumpPostMortem("corrupt-retry-exhausted",
                                              timeline.value());
     }
@@ -1366,18 +1346,9 @@ double
 SoCFlowTrainer::injectMidWaveCrash(sim::SocId soc, double progress,
                                    std::size_t step, std::size_t wave)
 {
-    TrainerMetrics &m = trainerMetrics();
-    deadSocs.insert(soc);
-    isolatedSinceS[soc] = simClockS;
-    detector.forget(soc);
-    const std::size_t gi = owningGroup(soc);
+    const std::size_t gi = markCrashed(soc, "soc crash mid-wave");
     if (gi == groups.size())
         return 0.0;
-
-    m.crashes.add(1.0);
-    obs::Tracer &tr = obs::tracer();
-    tr.recordInstant("soc crash mid-wave", "fault", obs::kTrackControl,
-                     simClockS);
 
     // The acked share of the in-flight AllReduce survives (its chunk
     // CRC tags verified on arrival), so only the tail rounds re-run
@@ -1406,25 +1377,20 @@ SoCFlowTrainer::injectMidWaveCrash(sim::SocId soc, double progress,
     }
     rebuildTopology();
 
-    ++tally.crashes;
     ++tally.waveResumes;
-    tally.recoverySeconds += recoveryS;
-    m.waveResumes.add(1.0);
-    m.recoveryDigest.observe(recoveryS);
+    trainerMetrics().waveResumes.add(1.0);
     timeline.mix(std::uint64_t{0x57}); // 'W': wave resume
     timeline.mix(static_cast<std::uint64_t>(soc));
     timeline.mix(static_cast<std::uint64_t>(acked));
     timeline.mix(static_cast<std::uint64_t>(sync.chunksResumed));
     timeline.mix(recoveryS);
-    tr.recordSpan(
-        "wave resume", "fault", obs::kTrackControl, simClockS,
-        recoveryS,
+    chargeRecovery(
+        "wave resume", recoveryS,
         {{"soc", static_cast<double>(soc)},
          {"step", static_cast<double>(step)},
          {"wave", static_cast<double>(wave)},
          {"acked_rounds", static_cast<double>(acked)},
          {"chunks_resumed", static_cast<double>(sync.chunksResumed)}});
-    simClockS += recoveryS;
     inform("SoC ", soc, " crashed mid-wave (", acked, "/", totalRounds,
            " rounds acked); resumed on the survivor ring, group state "
            "preserved");
@@ -1434,18 +1400,9 @@ SoCFlowTrainer::injectMidWaveCrash(sim::SocId soc, double progress,
 double
 SoCFlowTrainer::injectLeaderCrash(sim::SocId soc)
 {
-    TrainerMetrics &m = trainerMetrics();
-    deadSocs.insert(soc);
-    isolatedSinceS[soc] = simClockS;
-    detector.forget(soc);
-    const std::size_t gi = owningGroup(soc);
+    const std::size_t gi = markCrashed(soc, "leader crash");
     if (gi == groups.size())
         return 0.0;
-
-    m.crashes.add(1.0);
-    obs::Tracer &tr = obs::tracer();
-    tr.recordInstant("leader crash", "fault", obs::kTrackControl,
-                     simClockS);
 
     GroupState &g = *groups[gi];
     const bool wasLeader = g.socs.front() == soc;
@@ -1482,22 +1439,17 @@ SoCFlowTrainer::injectLeaderCrash(sim::SocId soc)
     }
     rebuildTopology();
 
-    ++tally.crashes;
-    tally.recoverySeconds += recoveryS;
     if (elected) {
         ++tally.leaderElections;
-        m.leaderElections.add(1.0);
+        trainerMetrics().leaderElections.add(1.0);
     }
-    m.recoveryDigest.observe(recoveryS);
     timeline.mix(std::uint64_t{0x4c}); // 'L': leader recovery
     timeline.mix(static_cast<std::uint64_t>(soc));
     timeline.mix(std::uint64_t{elected ? 1u : 0u});
     timeline.mix(recoveryS);
-    tr.recordSpan("leader election", "fault", obs::kTrackControl,
-                  simClockS, recoveryS,
-                  {{"soc", static_cast<double>(soc)},
-                   {"elected", elected ? 1.0 : 0.0}});
-    simClockS += recoveryS;
+    chargeRecovery("leader election", recoveryS,
+                   {{"soc", static_cast<double>(soc)},
+                    {"elected", elected ? 1.0 : 0.0}});
     if (elected) {
         inform("leader SoC ", soc, " crashed; SoC ", newLeader,
                " elected (highest surviving id), leader ring "
@@ -1539,6 +1491,15 @@ SoCFlowTrainer::rebuildTopology()
     trainerMetrics().rebuilds.add(1.0);
     trainerMetrics().activeGroups.set(
         static_cast<double>(groups.size()));
+    assertMembershipInvariants();
+}
+
+void
+SoCFlowTrainer::bumpGeneration()
+{
+    gate.bump();
+    for (auto &g : groups)
+        g->generation = gate.current();
 }
 
 void
@@ -1548,7 +1509,7 @@ SoCFlowTrainer::heartbeatSweep(double step_start_s,
     double maxPhi = 0.0;
     for (const auto &g : groups) {
         for (sim::SocId s : g->socs) {
-            if (deadSocs.count(s))
+            if (!eligible(s))
                 continue;
             double rate = 1.0;
             if (faults)
@@ -1563,32 +1524,51 @@ SoCFlowTrainer::heartbeatSweep(double step_start_s,
     trainerMetrics().suspicionMax.set(maxPhi);
 }
 
-void
-SoCFlowTrainer::remapLiveMembership()
+bool
+SoCFlowTrainer::eligible(sim::SocId soc) const
+{
+    if (deadSocs.count(soc) || isolatedSocs.count(soc))
+        return false;
+    bool admissible =
+        !faults || (faults->socAlive(soc) &&
+                    faults->boardReachable(cluster.board(soc)));
+    for (const PausedGroup &pg : pausedGroups) {
+        const auto &socs = pg.state->socs;
+        admissible = admissible &&
+                     std::find(socs.begin(), socs.end(), soc) == socs.end();
+    }
+    // A member also listed in a parked group (it rejoined while that
+    // group waited) keeps its place too.
+    return admissible || owningGroup(soc) != groups.size();
+}
+
+std::vector<sim::SocId>
+SoCFlowTrainer::liveMembers() const
 {
     std::vector<sim::SocId> live;
     for (const auto &g : groups)
         for (sim::SocId s : g->socs)
-            if (!deadSocs.count(s) && (!faults || faults->socAlive(s)))
+            if (eligible(s))
                 live.push_back(s);
+    // A SoC that rejoined while its parked group waited is listed
+    // twice once that group resumes; it maps once.
     std::sort(live.begin(), live.end());
     live.erase(std::unique(live.begin(), live.end()), live.end());
+    return live;
+}
+
+void
+SoCFlowTrainer::remapOnto(const std::vector<sim::SocId> &live)
+{
     SOCFLOW_ASSERT(!live.empty(), "no live SoC to re-map");
     // A group that lost its last live member cannot be kept.
     while (groups.size() > live.size())
         groups.pop_back();
-
     const Mapping remap =
         mapGroupsOnto(live, cluster.config().socsPerBoard,
                       groups.size(), cfg.mapping);
     for (std::size_t g = 0; g < groups.size(); ++g)
         groups[g]->socs = remap.members[g];
-    rebuildTopology();
-
-    gate.bump();
-    for (auto &g : groups)
-        g->generation = gate.current();
-    assertMembershipInvariants();
 }
 
 void
@@ -1644,14 +1624,12 @@ SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
 {
     if (!faults)
         return;
-    TrainerMetrics &m = trainerMetrics();
-    obs::Tracer &tr = obs::tracer();
 
     // Split the live membership by board reachability.
     std::vector<sim::SocId> reachable, cut;
     for (const auto &g : groups) {
         for (sim::SocId s : g->socs) {
-            if (deadSocs.count(s))
+            if (!eligible(s))
                 continue;
             if (faults->boardReachable(cluster.board(s)))
                 reachable.push_back(s);
@@ -1663,8 +1641,8 @@ SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
     timeline.mix(std::uint64_t{0x50}); // 'P': partition
     timeline.mix(static_cast<std::uint64_t>(spec.board));
     timeline.mix(static_cast<std::uint64_t>(cut.size()));
-    tr.recordInstant(fault::faultKindName(spec.kind), "fault",
-                     obs::kTrackControl, simClockS);
+    obs::tracer().recordInstant(fault::faultKindName(spec.kind), "fault",
+                                obs::kTrackControl, simClockS);
     if (cut.empty())
         return; // the cut grazed only idle boards
 
@@ -1739,17 +1717,14 @@ SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
             }
         }
     }
-    remapLiveMembership();
+    remapOnto(liveMembers());
+    rebuildTopology();
+    bumpGeneration();
 
-    tally.recoverySeconds += detectS;
-    m.recoveryDigest.observe(detectS);
-    tr.recordSpan("partition fence", "fault", obs::kTrackControl,
-                  simClockS, detectS,
-                  {{"cut_socs", static_cast<double>(cut.size())},
-                   {"parked_groups", static_cast<double>(parked)},
-                   {"generation",
-                    static_cast<double>(gate.current())}});
-    simClockS += detectS;
+    chargeRecovery("partition fence", detectS,
+                   {{"cut_socs", static_cast<double>(cut.size())},
+                    {"parked_groups", static_cast<double>(parked)},
+                    {"generation", static_cast<double>(gate.current())}});
     inform(fault::faultKindName(spec.kind), " cut ", cut.size(),
            " SoCs; majority of ", reachable.size(),
            " trains on under generation ", gate.current(), " (",
@@ -1789,7 +1764,6 @@ SoCFlowTrainer::healMemberships()
 {
     if (!faults)
         return;
-    TrainerMetrics &m = trainerMetrics();
     obs::Tracer &tr = obs::tracer();
     const auto reachableNow = [this](sim::SocId s) {
         return faults->boardReachable(cluster.board(s));
@@ -1800,12 +1774,10 @@ SoCFlowTrainer::healMemberships()
         // (every live member reachable again).
         for (const auto &g : groups)
             for (sim::SocId s : g->socs)
-                if (!deadSocs.count(s) && !reachableNow(s))
+                if (eligible(s) && !reachableNow(s))
                     return;
         quorumLost = false;
-        gate.bump();
-        for (auto &g : groups)
-            g->generation = gate.current();
+        bumpGeneration();
         timeline.mix(std::uint64_t{0x48}); // 'H': heal, quorum back
         timeline.mix(gate.current());
         tr.recordInstant("partition healed (quorum restored)",
@@ -1815,7 +1787,7 @@ SoCFlowTrainer::healMemberships()
     }
 
     std::size_t rejoined = 0;
-    double oldestCutS = simClockS;
+    double longestDownS = 0.0;
     bool changed = false;
 
     // Resume groups parked on the minority side whose boards are back.
@@ -1860,21 +1832,14 @@ SoCFlowTrainer::healMemberships()
             fencedTotal += fencedSync.fencedStale;
             tally.recoverySeconds += fencedSync.stats.seconds;
 
-            const std::vector<float> consensus = globalWeights();
-            pg.state->fp32.setFlatParams(consensus);
-            pg.state->int8.setFlatParams(consensus);
-            pg.state->sgd->resetState();
+            pg.state->restore(globalWeights());
         }
-        for (sim::SocId s : socs) {
-            auto it = isolatedSinceS.find(s);
-            if (it != isolatedSinceS.end()) {
-                oldestCutS = std::min(oldestCutS, it->second);
-                m.rejoinDigest.observe(simClockS - it->second);
-                isolatedSinceS.erase(it);
-            }
-        }
+        for (sim::SocId s : socs)
+            longestDownS = std::max(longestDownS, rejoinLatency(s, 0.0));
         rejoined += socs.size();
         groups.push_back(std::move(pg.state));
+        // Current from here on: the next parked group's fenced ring
+        // must admit it.
         groups.back()->generation = gate.current();
         pausedGroups.erase(pausedGroups.begin() +
                            static_cast<std::ptrdiff_t>(i));
@@ -1892,35 +1857,25 @@ SoCFlowTrainer::healMemberships()
             ++it;
             continue;
         }
-        // Weight catch-up: the rejoining SoC fetches the current
-        // group weights + generation from a leader.
-        if (!groups.empty()) {
-            tally.recoverySeconds +=
-                engine.broadcast(groups.front()->socs.front(), {s},
-                                 profile.paramBytes())
-                    .seconds;
-        }
-        auto sinceIt = isolatedSinceS.find(s);
-        if (sinceIt != isolatedSinceS.end()) {
-            oldestCutS = std::min(oldestCutS, sinceIt->second);
-            m.rejoinDigest.observe(simClockS - sinceIt->second);
-            isolatedSinceS.erase(sinceIt);
-        }
-        groups.front()->socs.push_back(s);
+        double downS = 0.0;
+        tally.recoverySeconds += admitCaughtUp(s, downS);
+        longestDownS = std::max(longestDownS, downS);
         ++rejoined;
         it = isolatedSocs.erase(it);
         changed = true;
     }
 
     if (changed) {
-        remapLiveMembership();
+        remapOnto(liveMembers());
+        rebuildTopology();
+        bumpGeneration();
         tally.rejoins += rejoined;
-        m.rejoins.add(static_cast<double>(rejoined));
+        trainerMetrics().rejoins.add(static_cast<double>(rejoined));
         timeline.mix(std::uint64_t{0x52}); // 'R': rejoin wave
         timeline.mix(static_cast<std::uint64_t>(rejoined));
         timeline.mix(gate.current());
         tr.recordSpan("membership heal", "fault", obs::kTrackControl,
-                      simClockS, simClockS - oldestCutS,
+                      simClockS, longestDownS,
                       {{"rejoined", static_cast<double>(rejoined)},
                        {"generation",
                         static_cast<double>(gate.current())}});
@@ -1943,44 +1898,53 @@ SoCFlowTrainer::rejoinSoc(sim::SocId soc)
         isolatedSinceS.emplace(soc, simClockS);
         return;
     }
-    TrainerMetrics &m = trainerMetrics();
-    obs::Tracer &tr = obs::tracer();
     deadSocs.erase(soc);
     isolatedSocs.erase(soc);
 
-    // Catch-up protocol: fetch the current group weights and the
-    // current generation from a leader, then re-map the live set.
+    // Catch-up protocol, then re-map the live set.
+    double downS = 0.0;
+    const double catchUpS = admitCaughtUp(soc, downS);
+    remapOnto(liveMembers());
+    rebuildTopology();
+    bumpGeneration();
+
+    ++tally.rejoins;
+    trainerMetrics().rejoins.add(1.0);
+    timeline.mix(std::uint64_t{0x4a}); // 'J': SoC rejoin
+    timeline.mix(static_cast<std::uint64_t>(soc));
+    timeline.mix(gate.current());
+    chargeRecovery("soc rejoin", catchUpS,
+                   {{"soc", static_cast<double>(soc)},
+                    {"down_seconds", downS},
+                    {"generation", static_cast<double>(gate.current())}});
+    inform("SoC ", soc, " rejoined after ", downS,
+           " s; caught up from its leader under generation ",
+           gate.current());
+}
+
+double
+SoCFlowTrainer::admitCaughtUp(sim::SocId soc, double &downS)
+{
     const double catchUpS =
         engine.broadcast(groups.front()->socs.front(), {soc},
                          profile.paramBytes())
             .seconds;
+    downS = rejoinLatency(soc, catchUpS);
     groups.front()->socs.push_back(soc);
-    remapLiveMembership();
+    return catchUpS;
+}
 
-    ++tally.rejoins;
-    m.rejoins.add(1.0);
-    tally.recoverySeconds += catchUpS;
-    double downS = catchUpS;
+double
+SoCFlowTrainer::rejoinLatency(sim::SocId soc, double fallbackS)
+{
+    double downS = fallbackS;
     auto it = isolatedSinceS.find(soc);
     if (it != isolatedSinceS.end()) {
         downS = simClockS - it->second;
         isolatedSinceS.erase(it);
     }
-    m.rejoinDigest.observe(downS);
-    m.recoveryDigest.observe(catchUpS);
-    timeline.mix(std::uint64_t{0x4a}); // 'J': SoC rejoin
-    timeline.mix(static_cast<std::uint64_t>(soc));
-    timeline.mix(gate.current());
-    tr.recordSpan("soc rejoin", "fault", obs::kTrackControl, simClockS,
-                  catchUpS,
-                  {{"soc", static_cast<double>(soc)},
-                   {"down_seconds", downS},
-                   {"generation",
-                    static_cast<double>(gate.current())}});
-    simClockS += catchUpS;
-    inform("SoC ", soc, " rejoined after ", downS,
-           " s; caught up from its leader under generation ",
-           gate.current());
+    trainerMetrics().rejoinDigest.observe(downS);
+    return downS;
 }
 
 std::vector<float>
@@ -2096,54 +2060,11 @@ SoCFlowTrainer::loadCheckpoint(const std::vector<std::uint8_t> &bytes)
 
     std::vector<float> w(n);
     std::memcpy(w.data(), p, n * sizeof(float));
-    for (auto &g : groups) {
-        g->fp32.setFlatParams(w);
-        g->int8.setFlatParams(w);
-        g->sgd->resetState();
-    }
+    for (auto &g : groups)
+        g->restore(w);
     epochCounter = epoch;
     mpc.setAlpha(alphaVal);
     trainerMetrics().checkpointLoads.add(1.0);
-}
-
-void
-SoCFlowTrainer::rebuildAllGroups()
-{
-    // Boot state of a power-cycled fleet: every volatile structure
-    // (group replicas, momentum, dead sets, pauses, isolation, the
-    // failure detector's arrival windows) is reconstructed exactly as
-    // the constructor built it. The data RNG is deliberately NOT
-    // rewound -- the restarted fleet draws fresh shards, like any
-    // real restart would.
-    deadSocs.clear();
-    isolatedSocs.clear();
-    isolatedSinceS.clear();
-    pausedGroups.clear();
-    quorumLost = false;
-
-    membership::PhiConfig pc;
-    pc.threshold = cfg.phiThreshold;
-    pc.windowSize = cfg.phiWindow;
-    detector = membership::PhiAccrualDetector(pc);
-
-    Rng initRng(cfg.seed ^ 0xbeef);
-    nn::Model proto =
-        nn::buildModel(cfg.modelFamily, bundle.spec, initRng);
-
-    mapping = fullMapping;
-    plan = planCommGroups(
-        conflictGraph(mapping, cluster.config().socsPerBoard));
-    groups.clear();
-    groups.reserve(mapping.numGroups());
-    for (std::size_t g = 0; g < mapping.numGroups(); ++g) {
-        groups.push_back(std::make_unique<GroupState>(
-            mapping.members[g], proto, cfg.sgd, cfg.quant,
-            cfg.seed + 101 * (g + 1)));
-    }
-
-    groupDigests.clear();
-    invalidateSyncCosts();
-    obsTracksNamed = false;
 }
 
 std::size_t
@@ -2153,7 +2074,13 @@ SoCFlowTrainer::restoreAfterPowerLoss(
     obs::ScopedSpan span(obs::tracer(), "restoreAfterPowerLoss",
                          "checkpoint");
     const std::size_t epochsBefore = epochCounter;
-    rebuildAllGroups();
+    // Boot state of a power-cycled fleet: every volatile structure
+    // (group replicas, momentum, dead sets, pauses, isolation, the
+    // failure detector's arrival windows) is rebuilt exactly as the
+    // constructor built it. The data RNG is deliberately NOT rewound
+    // -- the restarted fleet draws fresh shards, like any real
+    // restart would.
+    bootGroups(nullptr);
     // loadCheckpoint validates everything before mutating weights; a
     // corrupt blob throws here and the fleet STAYS down (groups are
     // rebooted but fleetDown holds until a valid restore), so the
@@ -2165,9 +2092,7 @@ SoCFlowTrainer::restoreAfterPowerLoss(
     // fenced as stale -- but the rebooted groups themselves restart
     // current, or the first post-restore aggregation would fence its
     // own members.
-    gate.bump();
-    for (auto &g : groups)
-        g->generation = gate.current();
+    bumpGeneration();
 
     // RPO accounting: epochs completed after the restored checkpoint
     // was taken are lost work (the aborted epoch itself never closed,

@@ -73,6 +73,7 @@
 #include "nn/sgd.hh"
 #include "nn/zoo.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "quant/int8_trainer.hh"
 #include "sim/calibration.hh"
 #include "sim/cluster.hh"
@@ -167,10 +168,11 @@ class SoCFlowTrainer : public DistTrainer
      * group count). Shrinking preempts trailing groups; growing
      * re-admits groups seeded from the current consensus weights
      * (the checkpoint/resume path of the harvesting scheduler).
-     * Optimizer momentum is reset for re-admitted groups. Crashed
-     * SoCs and SoCs already hosting an active group are filtered
-     * from re-admitted member lists; growth stops early when a
-     * candidate group has no usable SoC left.
+     * Optimizer momentum is reset for re-admitted groups. Re-admitted
+     * member lists keep only SoCs that pass the eligibility rule and
+     * host no active group (a crashed SoC, or one cut off by a
+     * partition, stays out); growth stops early when a candidate
+     * group has no usable SoC left.
      */
     void setActiveGroups(std::size_t n);
 
@@ -232,10 +234,13 @@ class SoCFlowTrainer : public DistTrainer
     std::vector<sim::SocId> groupMembers(std::size_t g) const;
 
     /**
-     * Current group generation (membership/membership.hh). Bumped on
-     * every membership change -- partition handled, heal, rejoin,
-     * elastic regrow -- and stamped on every cross-group aggregation;
-     * stale-stamped contributions are fenced, never applied.
+     * Current group generation (membership/membership.hh), stamped on
+     * every cross-group aggregation; stale-stamped contributions are
+     * fenced, never applied. Bumped by the transitions that can leave
+     * traffic in flight from a membership the survivors no longer
+     * share -- elastic resize, partition handled, heal (also when
+     * quorum returns), rejoin, and power-loss restore. Crashes and
+     * preemptGroup() do not bump it (DESIGN.md ch. 8).
      */
     std::uint64_t generation() const { return gate.current(); }
 
@@ -342,6 +347,10 @@ class SoCFlowTrainer : public DistTrainer
         GroupState(std::vector<sim::SocId> socs, const nn::Model &proto,
                    const nn::SgdConfig &scfg,
                    const quant::QuantConfig &qcfg, std::uint64_t seed);
+
+        /** Consensus restore: both replicas take `w`, momentum is
+         *  lost (it does not survive a rebuild from consensus). */
+        void restore(const std::vector<float> &w);
     };
 
     /** Per-step compute seconds for one group (slowest member SoC). */
@@ -371,8 +380,42 @@ class SoCFlowTrainer : public DistTrainer
      *  the profiler once per trainer (latest registrant wins). */
     void registerProfilerLayers();
 
-    /** Rebuild mapping/plan after a preemption. */
+    /**
+     * The one membership commit (DESIGN.md ch. 8), run after every
+     * member-list edit: member lists -> mapping, conflict graph -> CG
+     * plan, drop memoized sync costs, reset the per-group obs state,
+     * then assertMembershipInvariants().
+     */
     void rebuildTopology();
+
+    /** The membership fence: bump the generation and stamp every
+     *  active group current. */
+    void bumpGeneration();
+
+    /**
+     * The eligibility rule: `soc` may hold a place in the active
+     * mapping. It must not be crashed, isolated or parked; outside
+     * the mapping it must also be alive in the fault model and sit on
+     * a reachable board. A current member stays eligible until the
+     * transition that handles its own fault removes it: one injector
+     * advance can fire several specs, and the fault model already
+     * reflects them all while they are dispatched one at a time.
+     */
+    bool eligible(sim::SocId soc) const;
+
+    /** Eligible members of the active groups, ascending. */
+    std::vector<sim::SocId> liveMembers() const;
+
+    /** Integrity-greedy re-map of `live` onto the active groups:
+     *  trailing groups `live` cannot populate are dropped, the rest
+     *  take the new member lists in group order. */
+    void remapOnto(const std::vector<sim::SocId> &live);
+
+    /** Boot every group as the constructor-deterministic seeds build
+     *  it on the configured mapping (`initial`, when given, replaces
+     *  the built weights), with no volatile membership state, and
+     *  commit. The constructor and restoreAfterPowerLoss share it. */
+    void bootGroups(const std::vector<float> *initial);
 
     /** Recovery events accumulated into the current EpochRecord. */
     struct RecoveryTally {
@@ -407,11 +450,6 @@ class SoCFlowTrainer : public DistTrainer
      *  post-mortem. The epoch in flight aborts without closing. */
     void handleRackPowerLoss(const fault::FaultSpec &spec);
 
-    /** Rebuild every group from the constructor-deterministic seeds
-     *  (the state a power-cycled fleet boots with) and clear all
-     *  volatile membership state. Used by restoreAfterPowerLoss. */
-    void rebuildAllGroups();
-
     /** Epoch-open heal sweep: resume paused groups whose boards are
      *  reachable again, fold isolated/rejoining SoCs back in, fence
      *  their stale replayed traffic, and re-map the live set. */
@@ -421,9 +459,32 @@ class SoCFlowTrainer : public DistTrainer
      *  weight catch-up broadcast from its leader, then membership. */
     void rejoinSoc(sim::SocId soc);
 
-    /** Re-run mapGroupsOnto + CG planning over the live members of
-     *  the active groups and bump the generation. */
-    void remapLiveMembership();
+    /** Mark-crashed prologue: `soc` joins the dead set, its down time
+     *  starts, the failure detector forgets it. Returns its owning
+     *  group (groups.size() when idle); an owned crash is counted and
+     *  marked as `event` on the control track. */
+    std::size_t markCrashed(sim::SocId soc, const char *event);
+
+    /** Recovery charge: `seconds` go to the tally, the
+     *  fault_recovery_seconds_digest, a `span` on the control track
+     *  and the simulated clock. */
+    void chargeRecovery(const char *span, double seconds,
+                        std::initializer_list<obs::SpanArg> args);
+
+    /** Catch-up admit: `soc` fetches the current weights + generation
+     *  from the first leader and joins the first group. Returns the
+     *  broadcast seconds; `downS` receives its rejoin latency. */
+    double admitCaughtUp(sim::SocId soc, double &downS);
+
+    /** Rejoin latency of `soc` -- the time since it lost contact,
+     *  consuming its isolatedSinceS entry, else `fallbackS` -- which
+     *  is also recorded in rejoin_seconds_digest. */
+    double rejoinLatency(sim::SocId soc, double fallbackS);
+
+    /** Copy the recovery tally and the unreported fenced messages into
+     *  `rec`, add the recovery seconds to its simulated time, then
+     *  reset the tally (every runEpoch exit). */
+    void closeTally(EpochRecord &rec);
 
     /** Theorem 1/2 invariants on the live mapping (panics on
      *  violation): every live member in exactly one group; with

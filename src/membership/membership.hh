@@ -20,7 +20,8 @@
  *    closed-form invertible: t_detect = threshold * mean * ln 10.
  *
  *  - GenerationGate: a monotonically increasing group generation,
- *    bumped on every membership change and carried in every
+ *    bumped by the membership changes that can leave stale traffic
+ *    in flight (the owner decides which) and carried in every
  *    collective and leader-ring message. A message stamped with a
  *    stale generation is *fenced* (rejected and counted): the healed
  *    minority side of a partition can therefore never commit weights
@@ -127,7 +128,8 @@ class PhiAccrualDetector
 
 /**
  * Monotonic group generation with stale-message fencing. bump() on
- * every membership change; admit() on every arriving contribution.
+ * a membership change that must fence earlier traffic; admit() on
+ * every arriving contribution.
  */
 class GenerationGate
 {

@@ -375,35 +375,62 @@ bruteForceMinC(const std::vector<SocId> &live, std::size_t per_board,
     return best;
 }
 
-/** Assert Theorem 1/2 on the trainer's current live mapping. */
-void
-expectLiveMappingOptimal(const core::SoCFlowTrainer &trainer,
-                         std::size_t per_board)
+/** The trainer's current live mapping (members sorted per group). */
+Mapping
+liveMapping(const core::SoCFlowTrainer &trainer)
 {
     Mapping m;
-    std::vector<SocId> live;
-    std::vector<std::size_t> sizes;
     for (std::size_t g = 0; g < trainer.activeGroups(); ++g) {
         std::vector<SocId> members = trainer.groupMembers(g);
         std::sort(members.begin(), members.end());
-        sizes.push_back(members.size());
-        live.insert(live.end(), members.begin(), members.end());
         m.members.push_back(std::move(members));
     }
-    std::sort(live.begin(), live.end());
-    const std::size_t boards = liveBoards(live, per_board);
+    return m;
+}
 
-    // Theorem 1: the re-mapped conflict count C is the optimum over
-    // every same-shape partition of the live membership.
-    EXPECT_EQ(conflictC(m, per_board, boards),
-              bruteForceMinC(live, per_board, sizes));
-
-    // Theorem 2: the conflict graph stays a union of chains, so the
-    // CG schedule still needs at most two waves.
+/**
+ * Assert the membership invariants on the trainer's live mapping:
+ * every mapped SoC is live and in exactly one group, and Theorem 2
+ * holds -- the conflict graph stays a union of chains, so the CG
+ * schedule still needs at most two waves.
+ */
+void
+expectLiveMappingValid(const core::SoCFlowTrainer &trainer,
+                       std::size_t per_board)
+{
+    const Mapping m = liveMapping(trainer);
+    std::set<SocId> seen;
+    for (const auto &members : m.members) {
+        EXPECT_FALSE(members.empty());
+        for (SocId s : members) {
+            EXPECT_TRUE(seen.insert(s).second) << "SoC " << s;
+            EXPECT_EQ(trainer.crashedSocs().count(s), 0u) << "SoC " << s;
+        }
+    }
     const auto adj = core::conflictGraph(m, per_board);
     for (const auto &neighbours : adj)
         EXPECT_LE(neighbours.size(), 2u);
     EXPECT_LE(trainer.numCommGroups(), 2u);
+}
+
+/** Theorem 1 on top of the invariants: after a re-map the conflict
+ *  count C is the optimum over every same-shape partition of the
+ *  live membership. */
+void
+expectLiveMappingOptimal(const core::SoCFlowTrainer &trainer,
+                         std::size_t per_board)
+{
+    expectLiveMappingValid(trainer, per_board);
+    const Mapping m = liveMapping(trainer);
+    std::vector<SocId> live;
+    std::vector<std::size_t> sizes;
+    for (const auto &members : m.members) {
+        sizes.push_back(members.size());
+        live.insert(live.end(), members.begin(), members.end());
+    }
+    std::sort(live.begin(), live.end());
+    EXPECT_EQ(conflictC(m, per_board, liveBoards(live, per_board)),
+              bruteForceMinC(live, per_board, sizes));
 }
 
 } // namespace
@@ -445,6 +472,132 @@ TEST(MembershipTrainer, RejoinRemapPreservesTheorems)
     EXPECT_EQ(live.size(), 8u);
     expectLiveMappingOptimal(trainer, 5);
     EXPECT_GT(trainer.runEpoch().simSeconds, 0.0);
+
+    // The transitions that edit member lists without a re-map keep
+    // the invariants too: a mid-wave crash and a leader crash drop
+    // the member, a shrink drops a group, a re-grow re-admits one.
+    trainer.injectMidWaveCrash(trainer.groupMembers(1).back(), 0.5);
+    expectLiveMappingValid(trainer, 5);
+    trainer.injectLeaderCrash(trainer.groupLeader(0));
+    expectLiveMappingValid(trainer, 5);
+    ASSERT_EQ(trainer.activeGroups(), 2u);
+    trainer.setActiveGroups(1);
+    expectLiveMappingValid(trainer, 5);
+    trainer.setActiveGroups(2);
+    EXPECT_EQ(trainer.activeGroups(), 2u);
+    expectLiveMappingValid(trainer, 5);
+    EXPECT_GT(trainer.runEpoch().simSeconds, 0.0);
+}
+
+TEST(MembershipTrainer, RegrowDuringPartitionKeepsTheCutSideOut)
+{
+    // Group 1 lives on board 1; cutting board 1 parks it. Growing the
+    // active set back to two groups must not re-admit the parked,
+    // unreachable SoCs: that group would train on the minority side
+    // and feed the majority's aggregate.
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowTrainer trainer(tinyConfig(10, 2), bundle);
+    FaultPlan plan;
+    FaultSpec cut;
+    cut.kind = FaultKind::BoardPartition;
+    cut.epoch = 2;
+    cut.board = 1;
+    cut.durationEpochs = 2;
+    plan.add(cut);
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
+
+    for (int e = 0; e < 3; ++e)
+        trainer.runEpoch();
+    ASSERT_EQ(trainer.pausedGroupCount(), 1u);
+    trainer.setActiveGroups(2);
+    for (std::size_t g = 0; g < trainer.activeGroups(); ++g)
+        for (SocId s : trainer.groupMembers(g))
+            EXPECT_NE(s / 5, 1u) << "cut SoC " << s << " re-admitted";
+
+    // After the heal the parked group returns: no more groups than
+    // configured, and every SoC in exactly one of them.
+    trainer.runEpoch();
+    trainer.runEpoch();
+    EXPECT_EQ(trainer.pausedGroupCount(), 0u);
+    EXPECT_LE(trainer.activeGroups(), 2u);
+    std::multiset<SocId> members;
+    for (std::size_t g = 0; g < trainer.activeGroups(); ++g)
+        for (SocId s : trainer.groupMembers(g))
+            members.insert(s);
+    EXPECT_EQ(members.size(), 10u);
+    for (SocId s = 0; s < 10; ++s)
+        EXPECT_EQ(members.count(s), 1u) << "SoC " << s;
+}
+
+TEST(MembershipTrainer, CrashBeforePartitionInOneAdvanceKeepsQuorumRule)
+{
+    // A crash and a board cut fire in the same injector advance, the
+    // crash first. Its survivor re-map must keep the cut SoCs: only
+    // the quorum rule may park or strip them. Here 4 of the 9 live
+    // SoCs stay reachable, so the whole cluster pauses, and the heal
+    // brings every survivor back.
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowTrainer trainer(tinyConfig(10, 2), bundle);
+    FaultPlan plan;
+    FaultSpec crash;
+    crash.kind = FaultKind::SocCrash;
+    crash.epoch = 2;
+    crash.soc = 1;
+    plan.add(crash);
+    FaultSpec cut;
+    cut.kind = FaultKind::BoardPartition;
+    cut.epoch = 2;
+    cut.board = 1;
+    cut.durationEpochs = 2;
+    plan.add(cut);
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
+
+    trainer.runEpoch();
+    trainer.runEpoch();
+    const core::EpochRecord rec = trainer.runEpoch();
+    EXPECT_EQ(rec.crashes, 1u);
+    EXPECT_TRUE(rec.paused);
+    EXPECT_TRUE(trainer.quorumPaused());
+
+    trainer.runEpoch();
+    EXPECT_FALSE(trainer.runEpoch().paused);
+    std::multiset<SocId> members;
+    for (std::size_t g = 0; g < trainer.activeGroups(); ++g)
+        for (SocId s : trainer.groupMembers(g))
+            members.insert(s);
+    EXPECT_EQ(members.size(), 9u);
+    for (SocId s = 0; s < 10; ++s)
+        EXPECT_EQ(members.count(s), s == 1 ? 0u : 1u) << "SoC " << s;
+}
+
+TEST(MembershipTrainer, QuorumPausedEpochKeepsRecoveryCounters)
+{
+    // With no quorum every epoch pauses; recovery work done meanwhile
+    // must still reach the paused epoch's record, every counter of it.
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowTrainer trainer(tinyConfig(10, 2), bundle);
+    FaultPlan plan;
+    FaultSpec cut;
+    cut.kind = FaultKind::BoardPartition;
+    cut.epoch = 1;
+    cut.board = 0;
+    cut.durationEpochs = 3;
+    plan.add(cut);
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
+
+    trainer.runEpoch();
+    ASSERT_TRUE(trainer.runEpoch().paused);
+    trainer.injectLeaderCrash(trainer.groupLeader(1));
+    trainer.injectMidWaveCrash(trainer.groupMembers(0).back(), 0.5);
+    const core::EpochRecord rec = trainer.runEpoch();
+    EXPECT_TRUE(rec.paused);
+    EXPECT_EQ(rec.crashes, 2u);
+    EXPECT_EQ(rec.leaderElections, 1u);
+    EXPECT_EQ(rec.waveResumes, 1u);
+    EXPECT_GT(rec.recoverySeconds, 0.0);
 }
 
 // ------------------------------------------------ replay determinism
