@@ -67,6 +67,13 @@ smokeFlag()
     return smoke;
 }
 
+std::size_t &
+threadsCount()
+{
+    static std::size_t n = 0;
+    return n;
+}
+
 std::uint64_t &
 seedValue()
 {
@@ -334,8 +341,10 @@ initBenchObservability(int &argc, char **argv)
     argc = out;
     argv[argc] = nullptr;
 
-    if (!threadsValue.empty())
-        setGlobalThreads(parseCount("--threads", threadsValue));
+    if (!threadsValue.empty()) {
+        threadsCount() = parseCount("--threads", threadsValue);
+        setGlobalThreads(threadsCount());
+    }
     if (!seedStr.empty())
         seedValue() = parseCount("--seed", seedStr);
     if (!racksStr.empty()) {
@@ -424,6 +433,12 @@ bool
 smokeMode()
 {
     return smokeFlag();
+}
+
+std::size_t
+benchThreads()
+{
+    return threadsCount();
 }
 
 std::uint64_t
@@ -642,6 +657,18 @@ readBenchJson(const std::string &path, BenchReport &out)
         out.runs.push_back(r);
     }
     return !out.runs.empty();
+}
+
+void
+rejectUnknownFlags(int argc, char **argv, const char *passPrefix)
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (passPrefix != nullptr && arg.rfind(passPrefix, 0) == 0)
+            continue;
+        std::fprintf(stderr, "[fatal] unknown flag: %s\n", argv[i]);
+        std::exit(2);
+    }
 }
 
 FaultPolicyFlags

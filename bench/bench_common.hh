@@ -111,6 +111,16 @@ struct Workload {
  */
 void initBenchObservability(int &argc, char **argv);
 
+/**
+ * Exit 2, naming the argument, if anything is left in argv after the
+ * flag parsers (initBenchObservability, parseFaultPolicyFlags) took
+ * theirs: a misspelled flag is an error, never silently ignored.
+ * Arguments starting with `passPrefix` (e.g. "--benchmark_" for the
+ * google-benchmark binaries) are left for the caller's own parser.
+ */
+void rejectUnknownFlags(int argc, char **argv,
+                        const char *passPrefix = nullptr);
+
 /** --metrics-interval value (0 = plain end-of-run text dump). */
 std::size_t metricsInterval();
 
@@ -123,6 +133,9 @@ obs::MetricSeriesWriter *metricSeries();
 
 /** True when --smoke was given (ctest smoke tier). */
 bool smokeMode();
+
+/** --threads flag value (0 = not given). */
+std::size_t benchThreads();
 
 /** --seed flag value (default 42): root seed for bench RNGs. */
 std::uint64_t benchSeed();

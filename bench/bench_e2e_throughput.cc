@@ -15,13 +15,17 @@
  * Flags (besides the shared observability set):
  *   --seed=<n>        root seed (default 42); committed BENCH_*.json
  *                     numbers are reproducible for a fixed seed
+ *   --threads=<n>     run only n threads for both scenarios instead
+ *                     of the thread sweep
  *   --bench-json=<p>  write the machine-readable report here
- *   --baseline=<p>    compare against a committed BENCH_*.json and
- *                     exit non-zero if epochs/sec at the anchor
- *                     thread count regressed by more than 10%, or if
- *                     any row's timeline hash differs from the
- *                     baseline row with the same (label, threads) --
- *                     a behaviour change, not a speedup
+ *   --baseline=<p>    compare against a committed BENCH_*.json, over
+ *                     the rows present in both reports: exit non-zero
+ *                     if epochs/sec at the anchor thread count (4
+ *                     when both ran it, else the fastest shared row)
+ *                     regressed by more than 10%, or if any row's
+ *                     timeline hash differs from the baseline row
+ *                     with the same (label, threads) -- a behaviour
+ *                     change, not a speedup
  *   --smoke           tiny scenario + {1,2} threads for ctest
  *
  * Workflow (see README "Performance baseline"):
@@ -163,24 +167,14 @@ runOnce(std::size_t threads, const Scenario &sc)
     return run;
 }
 
-/**
- * Prefer the 4-thread row as the speedup anchor, else the fastest.
- * Labeled (fleet) rows are skipped so comparisons against pre-fleet
- * baseline JSONs stay apples to apples.
- */
+/** The unlabeled (single-rack) row at `threads`, if `r` has one. */
 const bench::BenchRun *
-anchorRun(const bench::BenchReport &r, std::size_t want)
+singleRackRun(const bench::BenchReport &r, std::size_t threads)
 {
-    const bench::BenchRun *best = nullptr;
-    for (const auto &run : r.runs) {
-        if (!run.label.empty())
-            continue;
-        if (run.threads == want)
+    for (const auto &run : r.runs)
+        if (run.label.empty() && run.threads == threads)
             return &run;
-        if (!best || run.epochsPerSec > best->epochsPerSec)
-            best = &run;
-    }
-    return best;
+    return nullptr;
 }
 
 } // namespace
@@ -190,14 +184,16 @@ main(int argc, char **argv)
 {
     setLogLevel(LogLevel::Warn);
     bench::initBenchObservability(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
 
-    const std::vector<std::size_t> sweep =
+    std::vector<std::size_t> sweep =
         bench::smokeMode() ? std::vector<std::size_t>{1, 2}
                            : std::vector<std::size_t>{1, 2, 4, 8};
-
-    const std::vector<std::size_t> fleetSweep =
+    std::vector<std::size_t> fleetSweep =
         bench::smokeMode() ? std::vector<std::size_t>{1, 2}
                            : std::vector<std::size_t>{1, 2, 8};
+    if (bench::benchThreads() > 0)
+        sweep = fleetSweep = {bench::benchThreads()};
 
     bench::BenchReport report;
     report.bench = "bench_e2e_throughput";
@@ -286,10 +282,24 @@ main(int argc, char **argv)
                 return 1;
             }
         }
-        const bench::BenchRun *cur = anchorRun(report, 4);
-        const bench::BenchRun *ref = anchorRun(baseline, 4);
-        if (!cur || !ref || ref->epochsPerSec <= 0.0) {
-            std::fprintf(stderr, "baseline has no usable runs\n");
+        // Speedup anchor among the single-rack rows both reports
+        // ran: 4 threads if shared, else the current fastest. Fleet
+        // rows are skipped so pre-fleet baselines stay comparable.
+        const bench::BenchRun *cur = nullptr;
+        const bench::BenchRun *ref = nullptr;
+        for (const auto &r : report.runs) {
+            const bench::BenchRun *b = singleRackRun(baseline, r.threads);
+            if (!r.label.empty() || !b || (cur && cur->threads == 4))
+                continue;
+            if (!cur || r.threads == 4 ||
+                r.epochsPerSec > cur->epochsPerSec) {
+                cur = &r;
+                ref = b;
+            }
+        }
+        if (!cur || ref->epochsPerSec <= 0.0) {
+            std::fprintf(stderr, "baseline has no usable run at a "
+                                 "thread count this run measured\n");
             return 1;
         }
         const double ratio = cur->epochsPerSec / ref->epochsPerSec;

@@ -301,6 +301,7 @@ main(int argc, char **argv)
 {
     setLogLevel(LogLevel::Warn);
     bench::initBenchObservability(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
 
     const std::size_t epochs = epochBudget();
     const std::string dataset =

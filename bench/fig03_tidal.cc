@@ -18,6 +18,7 @@ int
 main(int argc, char **argv)
 {
     bench::initBenchObservability(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
     setLogLevel(LogLevel::Warn);
     trace::TidalConfig cfg;  // 60 SoCs, 5-minute slots
     trace::TidalTrace tidal(cfg);

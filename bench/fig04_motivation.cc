@@ -103,6 +103,7 @@ int
 main(int argc, char **argv)
 {
     bench::initBenchObservability(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
     setLogLevel(LogLevel::Warn);
     partB();
     std::printf("\n");

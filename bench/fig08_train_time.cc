@@ -18,6 +18,7 @@ int
 main(int argc, char **argv)
 {
     bench::initBenchObservability(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
     setLogLevel(LogLevel::Warn);
     Table t("Figure 8: time to 97% relative convergence, 32 SoCs");
     std::vector<std::string> header = {"workload"};

@@ -17,6 +17,7 @@ int
 main(int argc, char **argv)
 {
     bench::initBenchObservability(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
     setLogLevel(LogLevel::Warn);
     Table t("Figure 9: energy to 97% relative convergence, 32 SoCs "
             "(kJ)");

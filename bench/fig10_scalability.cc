@@ -177,6 +177,7 @@ int
 main(int argc, char **argv)
 {
     bench::initBenchObservability(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
     setLogLevel(LogLevel::Warn);
     for (const auto &w : paperWorkloads())
         sweepWorkload(w);

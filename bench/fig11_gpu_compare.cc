@@ -85,6 +85,7 @@ int
 main(int argc, char **argv)
 {
     bench::initBenchObservability(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
     setLogLevel(LogLevel::Warn);
     // Snapdragon 865 fleet vs V100.
     compare(sim::Device::GpuV100, 1.0, "60x Snapdragon 865 vs V100");

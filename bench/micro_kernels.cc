@@ -130,6 +130,7 @@ int
 main(int argc, char **argv)
 {
     bench::initBenchObservability(argc, argv);
+    bench::rejectUnknownFlags(argc, argv, "--benchmark_");
     // The smoke tier translates --smoke into a near-zero measurement
     // budget so every benchmark still registers, builds its fixtures,
     // and runs at least one iteration under ctest.

@@ -53,6 +53,7 @@ int
 main(int argc, char **argv)
 {
     bench::initBenchObservability(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
     setLogLevel(LogLevel::Warn);
     Table t("Table 3: convergence accuracy, 32 SoCs "
             "(acc% and degradation vs Local)");

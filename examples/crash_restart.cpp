@@ -100,6 +100,7 @@ main(int argc, char **argv)
     bench::initBenchObservability(argc, argv);
     const bench::FaultPolicyFlags policy =
         bench::parseFaultPolicyFlags(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
     const std::size_t replicas =
         policy.ckptReplicas > 0 ? policy.ckptReplicas : 2;
     const std::size_t interval =

@@ -41,6 +41,7 @@ main(int argc, char **argv)
     bench::initBenchObservability(argc, argv);
     const bench::FaultPolicyFlags policy =
         bench::parseFaultPolicyFlags(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
 
     // The job: train a LeNet on the EMNIST analog overnight so the
     // refreshed input-method model ships in the morning.

@@ -28,6 +28,7 @@ main(int argc, char **argv)
 {
     setLogLevel(LogLevel::Warn);
     bench::initBenchObservability(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
 
     // 1. Make a dataset (a synthetic stand-in for CIFAR-10).
     data::DataBundle bundle = data::makeDatasetByName("cifar10");

@@ -176,6 +176,7 @@ main(int argc, char **argv)
     bench::initBenchObservability(argc, argv);
     const bench::FaultPolicyFlags policy =
         bench::parseFaultPolicyFlags(argc, argv);
+    bench::rejectUnknownFlags(argc, argv);
 
     trace::TidalConfig tcfg;
     tcfg.numSocs = 32;

@@ -43,13 +43,15 @@
 #               zero-perturbation guarantee checked end to end
 #   --crash-restart
 #               run the replicated-checkpoint suites (test_ckpt,
-#               test_checkpoint, the crash-restart determinism
-#               scenarios) plus the crash_restart example: a 2-rack
-#               fleet loses power mid-epoch AND the primary replica's
-#               rack loses durable storage; the run must restore from
-#               the surviving cross-rack copy and the resumed
-#               timeline hash must equal a resume from the original
-#               blob (the invariant DESIGN.md ch. 13 promises)
+#               test_checkpoint -- in build/ and again under
+#               ASan+UBSan in build-asan -- and the crash-restart
+#               determinism scenarios) plus the crash_restart
+#               example: a 2-rack fleet loses power mid-epoch AND the
+#               primary replica's rack loses durable storage; the run
+#               must restore from the surviving cross-rack copy and
+#               the resumed timeline hash must equal a resume from
+#               the original blob (the invariant DESIGN.md ch. 13
+#               promises)
 #   --docs-check
 #               fail if any user-facing "--flag" handled by
 #               bench/bench_common.cc is documented in neither
@@ -189,6 +191,15 @@ if [ "$1" = "--crash-restart" ]; then
     # Unit layer: placement, envelope/manifest fuzz, quorum restore,
     # rack-survival of acked writes.
     ctest --test-dir build --output-on-failure \
+        -R 'test_(ckpt|checkpoint)$' || exit 1
+    # The envelope codec parses bytes from disk and from replicas:
+    # run the same suites, exhaustive fuzz loops included, under
+    # ASan+UBSan.
+    cmake -B build-asan -S . -DSANITIZE=ON || exit 1
+    cmake --build build-asan -j --target test_ckpt test_checkpoint ||
+        exit 1
+    ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
+        ctest --test-dir build-asan --output-on-failure \
         -R 'test_(ckpt|checkpoint)$' || exit 1
     # Determinism layer: crash + restore replays bit-exactly at
     # 1/2/5/8 threads, and a resumed run matches an uninterrupted

@@ -4,11 +4,12 @@
  *
  * The durable half of whole-fleet crash-restart recovery (DESIGN.md
  * ch. 13). Each write seals the trainer's checkpoint blob into a
- * magic+checksum envelope and copies it to k failure-domain-spread
- * sites (ckpt/placement.hh), then publishes a generation-stamped
- * manifest next to every copy. Replica-write traffic is priced
- * through the cluster's FlowNetwork, so checkpointing contends
- * honestly with gradient sync for the same NICs and uplinks.
+ * core::sealEnvelope() envelope (core/checkpoint.hh) and copies it
+ * to k failure-domain-spread sites (ckpt/placement.hh), then
+ * publishes a generation-stamped manifest next to every copy.
+ * Replica-write traffic is priced through the cluster's FlowNetwork,
+ * so checkpointing contends honestly with gradient sync for the same
+ * NICs and uplinks.
  *
  * The restore path is a quorum read: every surviving manifest is
  * validated (magic + FNV-1a checksum -- a torn or bit-flipped copy
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "ckpt/placement.hh"
+#include "core/checkpoint.hh"
 #include "fault/fault.hh"
 #include "membership/membership.hh"
 #include "sim/cluster.hh"
@@ -81,21 +83,6 @@ struct RestoreResult {
     /** Torn/corrupt manifest or data copies detected and discarded. */
     std::size_t tornCopies = 0;
 };
-
-/**
- * Seal `payload` into a durable envelope:
- * [magic u64][len u64][payload][FNV-1a u64 over all prior bytes].
- */
-std::vector<std::uint8_t> sealEnvelope(
-    std::uint64_t magic, const std::vector<std::uint8_t> &payload);
-
-/**
- * Validate and open an envelope sealed with `magic`. Throws
- * core::CheckpointError on truncation, wrong magic, length mismatch
- * or checksum mismatch -- a torn or bit-flipped copy never opens.
- */
-std::vector<std::uint8_t> openEnvelope(
-    std::uint64_t magic, const std::vector<std::uint8_t> &bytes);
 
 /** Envelope magic for replica data copies ("SFREPV1\0"). */
 constexpr std::uint64_t kReplicaMagic = 0x5346524550563100ULL;

@@ -1,12 +1,24 @@
 /**
  * @file
- * Checkpoint persistence.
+ * The checkpoint envelope codec: every durable byte string is
  *
- * SoCFlowTrainer serializes its training state to a byte buffer
- * (weights + epoch + mixed-precision state); these helpers move such
- * buffers to and from disk with a magic/version header and a simple
- * integrity checksum, so a preempted job can resume in a later idle
- * window even across process restarts.
+ *   [magic u64][len u64][payload, len bytes][FNV-1a u64 of all prior]
+ *
+ * (little-endian, 24 bytes around the payload). The magic names the
+ * artifact, and openEnvelope() opens no other:
+ *
+ *   kBlobMagic      SoCFlowTrainer::saveCheckpoint(); payload is
+ *                   [epoch u64][alpha f64][weights f32 x n]
+ *   kFileMagic      writeCheckpointFile(); payload is a trainer blob
+ *   kReplicaMagic   ckpt::ReplicatedCkptStore data copies
+ *   kManifestMagic  ckpt::ReplicatedCkptStore manifests
+ *
+ * openEnvelope() throws CheckpointError naming the failure class:
+ * "truncated" (short of the header or of the declared length), "size
+ * mismatch" (bytes past it), "not a SoCFlow checkpoint (envelope
+ * magic mismatch)" or "checksum mismatch". It bounds-checks before it
+ * reads and allocates only the payload it returns, so no single-byte
+ * corruption -- a length field included -- ever opens or crashes.
  */
 
 #ifndef SOCFLOW_CORE_CHECKPOINT_HH
@@ -21,12 +33,10 @@ namespace socflow {
 namespace core {
 
 /**
- * A malformed or corrupted checkpoint blob handed to
- * SoCFlowTrainer::loadCheckpoint(). Thrown (not fatal) because a
- * scheduler holding many checkpoints wants to skip a bad one and
- * keep the trainer usable; validation completes before any trainer
- * state is mutated. The *file* helpers below still treat a bad file
- * as a user error (fatal), matching the CLI tools built on them.
+ * A malformed or corrupted envelope. Thrown (not fatal) so a
+ * scheduler holding many checkpoints can skip a bad one and keep the
+ * trainer usable (loadCheckpoint() validates before it mutates). The
+ * *file* helpers treat a bad file as a user error (fatal) instead.
  */
 class CheckpointError : public std::runtime_error
 {
@@ -37,20 +47,39 @@ class CheckpointError : public std::runtime_error
     }
 };
 
-/** Write a checkpoint blob to `path` (fatal on I/O failure). */
+/** Trainer checkpoint blob ("SFCKPT1\0"). */
+constexpr std::uint64_t kBlobMagic = 0x5346434b50543100ULL;
+/** Checkpoint file on disk ("SOCFLOW1"). */
+constexpr std::uint64_t kFileMagic = 0x534f43464c4f5731ULL;
+
+/** Seal `payload` under `magic`. */
+std::vector<std::uint8_t> sealEnvelope(
+    std::uint64_t magic, const std::vector<std::uint8_t> &payload);
+
+/** Validate an envelope sealed with `magic`; return its payload. */
+std::vector<std::uint8_t> openEnvelope(
+    std::uint64_t magic, const std::vector<std::uint8_t> &bytes);
+
+/** Append `v` little-endian (the envelope's word encoding). */
+void putU64(std::vector<std::uint8_t> &out, std::uint64_t v);
+
+/** Read a little-endian word at `off` (caller bounds-checks). */
+std::uint64_t getU64(const std::vector<std::uint8_t> &in,
+                     std::size_t off);
+
+/** Write `blob` to `path` as a kFileMagic envelope (fatal on I/O
+ *  failure). */
 void writeCheckpointFile(const std::string &path,
                          const std::vector<std::uint8_t> &blob);
 
-/**
- * Read a checkpoint blob from `path`. Missing files, short files,
- * bad magic and checksum mismatches are user errors (fatal).
- */
+/** Read a blob back; "cannot open" and every openEnvelope() failure
+ *  are fatal (exit 1). */
 std::vector<std::uint8_t> readCheckpointFile(const std::string &path);
 
-/** True when `path` holds a well-formed checkpoint. */
+/** True when `path` opens as a kFileMagic envelope. */
 bool isCheckpointFile(const std::string &path);
 
-/** FNV-1a checksum used by the file format (exposed for tests). */
+/** FNV-1a 64 of `blob` (the envelope checksum; exposed for tests). */
 std::uint64_t checkpointChecksum(const std::vector<std::uint8_t> &blob);
 
 } // namespace core

@@ -26,9 +26,6 @@ makeClusterConfig(const SoCFlowConfig &cfg)
     return c;
 }
 
-/** Magic prefix of the in-memory checkpoint blob ("SFCKPT1\0"). */
-constexpr std::uint64_t kBlobMagic = 0x5346434b50543100ULL;
-
 /**
  * Cached handles into the metrics registry for the trainer hot path
  * (registration takes the registry mutex; these lookups run once).
@@ -1976,9 +1973,11 @@ SoCFlowTrainer::groupMomentumNorm(std::size_t g) const
 }
 
 /*
- * Blob layout (little-endian, host byte order):
- *   [magic u64][epoch u64][alpha f64][n u64][weights f32 x n]
- *   [FNV-1a checksum u64 over everything before it]
+ * Blob layout: a kBlobMagic envelope (core/checkpoint.hh) whose
+ * payload is [epoch u64][alpha f64][weights f32 x n] in host byte
+ * order. The weight count is implied by the envelope length, so a
+ * blob is exactly 40 + 4n bytes -- the size replica writes are
+ * priced on.
  */
 std::vector<std::uint8_t>
 SoCFlowTrainer::saveCheckpoint() const
@@ -1987,30 +1986,17 @@ SoCFlowTrainer::saveCheckpoint() const
     const std::vector<float> w = globalWeights();
     const std::uint64_t epoch = epochCounter;
     const double alphaVal = mpc.alpha();
-    const std::uint64_t n = w.size();
 
-    std::vector<std::uint8_t> out(sizeof(kBlobMagic) + sizeof(epoch) +
-                                  sizeof(alphaVal) + sizeof(n) +
-                                  n * sizeof(float) +
-                                  sizeof(std::uint64_t));
-    std::uint8_t *p = out.data();
-    std::memcpy(p, &kBlobMagic, sizeof(kBlobMagic));
-    p += sizeof(kBlobMagic);
+    std::vector<std::uint8_t> payload(sizeof(epoch) + sizeof(alphaVal) +
+                                      w.size() * sizeof(float));
+    std::uint8_t *p = payload.data();
     std::memcpy(p, &epoch, sizeof(epoch));
     p += sizeof(epoch);
     std::memcpy(p, &alphaVal, sizeof(alphaVal));
     p += sizeof(alphaVal);
-    std::memcpy(p, &n, sizeof(n));
-    p += sizeof(n);
-    std::memcpy(p, w.data(), n * sizeof(float));
-    p += n * sizeof(float);
-
-    std::vector<std::uint8_t> body(out.begin(),
-                                   out.end() - sizeof(std::uint64_t));
-    const std::uint64_t sum = checkpointChecksum(body);
-    std::memcpy(p, &sum, sizeof(sum));
+    std::memcpy(p, w.data(), w.size() * sizeof(float));
     trainerMetrics().checkpointSaves.add(1.0);
-    return out;
+    return sealEnvelope(kBlobMagic, payload);
 }
 
 void
@@ -2024,35 +2010,24 @@ SoCFlowTrainer::loadCheckpoint(const std::vector<std::uint8_t> &bytes)
         throw CheckpointError("bad checkpoint blob: " + why);
     };
 
-    std::uint64_t magic = 0, epoch = 0, n = 0;
+    std::vector<std::uint8_t> payload;
+    try {
+        payload = openEnvelope(kBlobMagic, bytes);
+    } catch (const CheckpointError &e) {
+        reject(e.what());
+    }
+    std::uint64_t epoch = 0;
     double alphaVal = 1.0;
-    const std::size_t fixed = sizeof(magic) + sizeof(epoch) +
-                              sizeof(alphaVal) + sizeof(n) +
-                              sizeof(std::uint64_t);
-    if (bytes.size() < fixed)
-        reject("truncated header");
-    const std::uint8_t *p = bytes.data();
-    std::memcpy(&magic, p, sizeof(magic));
-    p += sizeof(magic);
-    if (magic != kBlobMagic)
-        reject("wrong magic");
+    const std::size_t fixed = sizeof(epoch) + sizeof(alphaVal);
+    if (payload.size() < fixed ||
+        (payload.size() - fixed) % sizeof(float) != 0)
+        reject("payload size mismatch");
+    const std::size_t n = (payload.size() - fixed) / sizeof(float);
+    const std::uint8_t *p = payload.data();
     std::memcpy(&epoch, p, sizeof(epoch));
     p += sizeof(epoch);
     std::memcpy(&alphaVal, p, sizeof(alphaVal));
     p += sizeof(alphaVal);
-    std::memcpy(&n, p, sizeof(n));
-    p += sizeof(n);
-    if (bytes.size() != fixed + n * sizeof(float))
-        reject("size mismatch");
-
-    std::vector<std::uint8_t> body(bytes.begin(),
-                                   bytes.end() - sizeof(std::uint64_t));
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
-                sizeof(stored));
-    if (checkpointChecksum(body) != stored)
-        reject("checksum mismatch (corrupted payload)");
-
     if (n != groups.front()->fp32.flatParams().size())
         reject("weight count does not match the built model");
     if (!(alphaVal >= 0.0 && alphaVal <= 1.0))

@@ -8,7 +8,8 @@
  * corruption model of the GradCorrupt fault. Fnv1a64 is a streaming
  * FNV-1a accumulator used for the deterministic recovery-timeline
  * hash (same seed => same hash) that the chaos replay harness
- * compares across runs.
+ * compares across runs, and the checksum of every checkpoint
+ * envelope (core/checkpoint.hh).
  */
 
 #ifndef SOCFLOW_UTIL_HASH_HH
@@ -55,6 +56,15 @@ class Fnv1a64
     }
 
     std::uint64_t value() const { return h; }
+
+    /** One-shot hash of `len` bytes. */
+    static std::uint64_t
+    of(const void *data, std::size_t len)
+    {
+        Fnv1a64 f;
+        f.mixBytes(data, len);
+        return f.value();
+    }
 
   private:
     std::uint64_t h = 0xcbf29ce484222325ULL;

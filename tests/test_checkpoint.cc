@@ -139,6 +139,32 @@ TEST(CheckpointFile, TruncatedPayloadDetected)
     std::remove(path.c_str());
 }
 
+TEST(CheckpointFile, CorruptLengthFieldRejected)
+{
+    // The payload length sits at bytes 8-15. A corrupt length must be
+    // refused like any other damage -- never trusted to size a read
+    // or an allocation.
+    const std::string path = tempPath("badlen.ckpt");
+    for (int byte = 8; byte < 16; ++byte) {
+        writeCheckpointFile(path, {10, 20, 30, 40, 50});
+        {
+            std::fstream f(path, std::ios::in | std::ios::out |
+                                     std::ios::binary);
+            f.seekg(byte);
+            char c = 0;
+            f.read(&c, 1);
+            c = static_cast<char>(c ^ 0x80);
+            f.seekp(byte);
+            f.write(&c, 1);
+        }
+        EXPECT_FALSE(isCheckpointFile(path)) << "length byte " << byte;
+        EXPECT_EXIT(readCheckpointFile(path),
+                    ::testing::ExitedWithCode(1), "")
+            << "length byte " << byte;
+    }
+    std::remove(path.c_str());
+}
+
 // --------------------------------------------- trainer blob validation
 
 namespace {
@@ -247,6 +273,19 @@ TEST(TrainerCheckpointBlob, ValidBlobStillLoadsAfterRejections)
     EXPECT_THROW(fx.trainer.loadCheckpoint(bad), CheckpointError);
     EXPECT_NO_THROW(fx.trainer.loadCheckpoint(fx.blob));
     EXPECT_EQ(fx.trainer.epochsDone(), 1u);
+}
+
+TEST(TrainerCheckpointBlob, BlobIsSealedEnvelopeOfFixedSize)
+{
+    // Pins the blob format: a kBlobMagic envelope of exactly
+    // 40 + 4n bytes for n weights -- the byte count replica writes
+    // are priced on.
+    BlobFixture fx;
+    const std::size_t n = fx.trainer.globalWeights().size();
+    EXPECT_EQ(fx.blob.size(), 40 + 4 * n);
+    std::vector<std::uint8_t> payload;
+    ASSERT_NO_THROW(payload = openEnvelope(kBlobMagic, fx.blob));
+    EXPECT_EQ(payload.size(), 16 + 4 * n);
 }
 
 // ------------------------------------------------- bit-flip fuzzing
