@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the numerical kernels behind
  * the training substrate: GEMM, im2col convolution, quantization,
- * and full model steps.
+ * CRC-32, and full model steps.
  */
 
 #include <vector>
@@ -15,6 +15,7 @@
 #include "quant/quantize.hh"
 #include "tensor/conv.hh"
 #include "tensor/ops.hh"
+#include "util/hash.hh"
 #include "util/rng.hh"
 
 using namespace socflow;
@@ -36,6 +37,29 @@ BM_Gemm(benchmark::State &state)
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
+// The transposed products of a lenet5 group step at batch 32:
+// arg 0 is the first dense layer's weight gradient dOut^T * X
+// (trans_a), arg 1 its forward X * W^T (trans_b).
+static void
+BM_GemmTransposed(benchmark::State &state)
+{
+    const bool transA = state.range(0) == 0;
+    const std::size_t batch = 32, in = 144, out = 120;
+    Rng rng(8);
+    Tensor a = transA ? Tensor::randn({batch, out}, rng)
+                      : Tensor::randn({batch, in}, rng);
+    Tensor b = transA ? Tensor::randn({batch, in}, rng)
+                      : Tensor::randn({out, in}, rng);
+    Tensor c = transA ? Tensor({out, in}) : Tensor({batch, out});
+    for (auto _ : state) {
+        tensor::gemm(a, transA, b, !transA, c);
+        benchmark::DoNotOptimize(c.data());
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * batch * in * out);
+    state.SetLabel(transA ? "dense dW (trans_a)" : "dense fwd (trans_b)");
+}
+BENCHMARK(BM_GemmTransposed)->Arg(0)->Arg(1);
+
 static void
 BM_Conv2dForward(benchmark::State &state)
 {
@@ -51,6 +75,30 @@ BM_Conv2dForward(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
+
+// Both lenet5 convolutions' backward passes (weight and input
+// gradient) at batch 16 on 12x12 inputs; arg selects the layer.
+static void
+BM_Conv2dBackward(benchmark::State &state)
+{
+    const bool first = state.range(0) == 0;
+    const std::size_t batch = 16, c = first ? 1 : 6, hw = first ? 12 : 6;
+    const std::size_t outC = first ? 6 : 16;
+    Rng rng(9);
+    tensor::ConvGeom g{c, outC, 5, 1, 2};
+    Tensor x = Tensor::randn({batch, c, hw, hw}, rng);
+    Tensor w = Tensor::randn({outC, c, 5, 5}, rng);
+    Tensor gradOut = Tensor::randn({batch, outC, hw, hw}, rng);
+    Tensor gradX(x.shape()), gradW(w.shape());
+    for (auto _ : state) {
+        tensor::conv2dBackward(x, w, g, gradOut, &gradX, gradW);
+        benchmark::DoNotOptimize(gradW.data());
+    }
+    state.SetItemsProcessed(state.iterations() * batch * 2 * 2 * outC *
+                            c * 25 * hw * hw);
+    state.SetLabel(first ? "conv1 (1->6)" : "conv2 (6->16)");
+}
+BENCHMARK(BM_Conv2dBackward)->Arg(0)->Arg(1);
 
 static void
 BM_DepthwiseConv(benchmark::State &state)
@@ -85,6 +133,20 @@ BM_FakeQuantize(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FakeQuantize)->Arg(1 << 12)->Arg(1 << 16);
+
+static void
+BM_Crc32(benchmark::State &state)
+{
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    Rng rng(10);
+    std::vector<unsigned char> buf(n);
+    for (auto &b : buf)
+        b = static_cast<unsigned char>(rng.uniformInt(256));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 10)->Arg(1 << 17);
 
 static void
 BM_Int8Gemm(benchmark::State &state)

@@ -44,16 +44,19 @@ class Layer
 
     /**
      * Run the layer on a batch.
-     * @param x input activation.
+     * @param x input activation, taken by value so a caller that
+     *          moves it in lets the layer keep it for backward (or
+     *          reuse its storage) without a copy.
      * @param train true during training (enables caching).
      */
-    virtual Tensor forward(const Tensor &x, bool train) = 0;
+    virtual Tensor forward(Tensor x, bool train) = 0;
 
     /**
      * Backpropagate through the layer, accumulating parameter
-     * gradients and returning the input gradient.
+     * gradients and returning the input gradient; grad_out is taken
+     * by value for the same reason.
      */
-    virtual Tensor backward(const Tensor &grad_out) = 0;
+    virtual Tensor backward(Tensor grad_out) = 0;
 
     /** Mutable views of the layer's parameters (possibly empty). */
     virtual std::vector<Param *> params() { return {}; }

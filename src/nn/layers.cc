@@ -24,7 +24,7 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng &rng)
 }
 
 Tensor
-Dense::forward(const Tensor &x, bool train)
+Dense::forward(Tensor x, bool train)
 {
     SOCFLOW_ASSERT(x.rank() == 2 && x.dim(1) == inF,
                    "dense input shape mismatch");
@@ -32,12 +32,12 @@ Dense::forward(const Tensor &x, bool train)
     tensor::gemm(x, false, weight.value, true, out);
     tensor::biasAddRows(out, bias.value);
     if (train)
-        cachedInput = x;
+        cachedInput = std::move(x);
     return out;
 }
 
 Tensor
-Dense::backward(const Tensor &grad_out)
+Dense::backward(Tensor grad_out)
 {
     // dW += dOut^T * X ; db += colsum(dOut) ; dX = dOut * W
     tensor::gemm(grad_out, true, cachedInput, false, weight.grad, 1.0f);
@@ -86,7 +86,7 @@ Conv2D::Conv2D(ConvGeom geom, Rng &rng, float init_scale)
 }
 
 Tensor
-Conv2D::forward(const Tensor &x, bool train)
+Conv2D::forward(Tensor x, bool train)
 {
     const std::size_t ho =
         tensor::convOutDim(x.dim(2), g.kernel, g.stride, g.pad);
@@ -96,12 +96,12 @@ Conv2D::forward(const Tensor &x, bool train)
     tensor::conv2dForward(x, weight.value, g, out);
     tensor::biasAddChannels(out, bias.value);
     if (train)
-        cachedInput = x;
+        cachedInput = std::move(x);
     return out;
 }
 
 Tensor
-Conv2D::backward(const Tensor &grad_out)
+Conv2D::backward(Tensor grad_out)
 {
     tensor::biasGradChannels(grad_out, bias.grad);
     Tensor gradIn(cachedInput.shape());
@@ -148,7 +148,7 @@ DepthwiseConv2D::DepthwiseConv2D(std::size_t channels, std::size_t kernel,
 }
 
 Tensor
-DepthwiseConv2D::forward(const Tensor &x, bool train)
+DepthwiseConv2D::forward(Tensor x, bool train)
 {
     const std::size_t ho =
         tensor::convOutDim(x.dim(2), g.kernel, g.stride, g.pad);
@@ -158,12 +158,12 @@ DepthwiseConv2D::forward(const Tensor &x, bool train)
     tensor::depthwiseConv2dForward(x, weight.value, g, out);
     tensor::biasAddChannels(out, bias.value);
     if (train)
-        cachedInput = x;
+        cachedInput = std::move(x);
     return out;
 }
 
 Tensor
-DepthwiseConv2D::backward(const Tensor &grad_out)
+DepthwiseConv2D::backward(Tensor grad_out)
 {
     tensor::biasGradChannels(grad_out, bias.grad);
     Tensor gradIn(cachedInput.shape());
@@ -197,17 +197,20 @@ DepthwiseConv2D::clone() const
 // ----------------------------------------------------------------- ReLU
 
 Tensor
-ReLU::forward(const Tensor &x, bool train)
+ReLU::forward(Tensor x, bool train)
 {
+    if (!train) {
+        tensor::reluForward(x, x);
+        return x;
+    }
     Tensor out(x.shape());
     tensor::reluForward(x, out);
-    if (train)
-        cachedInput = x;
+    cachedInput = std::move(x);
     return out;
 }
 
 Tensor
-ReLU::backward(const Tensor &grad_out)
+ReLU::backward(Tensor grad_out)
 {
     Tensor gradIn(grad_out.shape());
     tensor::reluBackward(cachedInput, grad_out, gradIn);
@@ -228,7 +231,7 @@ MaxPool2D::MaxPool2D(std::size_t kernel, std::size_t stride)
 }
 
 Tensor
-MaxPool2D::forward(const Tensor &x, bool train)
+MaxPool2D::forward(Tensor x, bool train)
 {
     const std::size_t ho = tensor::convOutDim(x.dim(2), kernel, stride, 0);
     const std::size_t wo = tensor::convOutDim(x.dim(3), kernel, stride, 0);
@@ -240,7 +243,7 @@ MaxPool2D::forward(const Tensor &x, bool train)
 }
 
 Tensor
-MaxPool2D::backward(const Tensor &grad_out)
+MaxPool2D::backward(Tensor grad_out)
 {
     Tensor gradIn(cachedInShape);
     tensor::maxPool2dBackward(grad_out, argmax, gradIn);
@@ -256,7 +259,7 @@ MaxPool2D::clone() const
 // -------------------------------------------------------- GlobalAvgPool
 
 Tensor
-GlobalAvgPool::forward(const Tensor &x, bool train)
+GlobalAvgPool::forward(Tensor x, bool train)
 {
     Tensor out({x.dim(0), x.dim(1)});
     tensor::globalAvgPoolForward(x, out);
@@ -266,7 +269,7 @@ GlobalAvgPool::forward(const Tensor &x, bool train)
 }
 
 Tensor
-GlobalAvgPool::backward(const Tensor &grad_out)
+GlobalAvgPool::backward(Tensor grad_out)
 {
     Tensor gradIn(cachedInShape);
     tensor::globalAvgPoolBackward(grad_out, cachedInShape[2],
@@ -283,21 +286,20 @@ GlobalAvgPool::clone() const
 // -------------------------------------------------------------- Flatten
 
 Tensor
-Flatten::forward(const Tensor &x, bool train)
+Flatten::forward(Tensor x, bool train)
 {
     if (train)
         cachedInShape = x.shape();
-    Tensor out = x;
-    out.reshape({x.dim(0), x.numel() / x.dim(0)});
-    return out;
+    const std::size_t n = x.dim(0);
+    x.reshape({n, x.numel() / n});
+    return x;
 }
 
 Tensor
-Flatten::backward(const Tensor &grad_out)
+Flatten::backward(Tensor grad_out)
 {
-    Tensor gradIn = grad_out;
-    gradIn.reshape(cachedInShape);
-    return gradIn;
+    grad_out.reshape(cachedInShape);
+    return grad_out;
 }
 
 std::unique_ptr<Layer>

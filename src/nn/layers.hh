@@ -27,8 +27,8 @@ class Dense : public Layer
   public:
     Dense(std::size_t in_features, std::size_t out_features, Rng &rng);
 
-    Tensor forward(const Tensor &x, bool train) override;
-    Tensor backward(const Tensor &grad_out) override;
+    Tensor forward(Tensor x, bool train) override;
+    Tensor backward(Tensor grad_out) override;
     std::vector<Param *> params() override;
     std::string name() const override;
     std::unique_ptr<Layer> clone() const override;
@@ -52,8 +52,8 @@ class Conv2D : public Layer
     Conv2D(tensor::ConvGeom geom, Rng &rng,
            float init_scale = 1.0f);
 
-    Tensor forward(const Tensor &x, bool train) override;
-    Tensor backward(const Tensor &grad_out) override;
+    Tensor forward(Tensor x, bool train) override;
+    Tensor backward(Tensor grad_out) override;
     std::vector<Param *> params() override;
     std::string name() const override;
     std::unique_ptr<Layer> clone() const override;
@@ -77,8 +77,8 @@ class DepthwiseConv2D : public Layer
     DepthwiseConv2D(std::size_t channels, std::size_t kernel,
                     std::size_t stride, std::size_t pad, Rng &rng);
 
-    Tensor forward(const Tensor &x, bool train) override;
-    Tensor backward(const Tensor &grad_out) override;
+    Tensor forward(Tensor x, bool train) override;
+    Tensor backward(Tensor grad_out) override;
     std::vector<Param *> params() override;
     std::string name() const override;
     std::unique_ptr<Layer> clone() const override;
@@ -94,8 +94,8 @@ class DepthwiseConv2D : public Layer
 class ReLU : public Layer
 {
   public:
-    Tensor forward(const Tensor &x, bool train) override;
-    Tensor backward(const Tensor &grad_out) override;
+    Tensor forward(Tensor x, bool train) override;
+    Tensor backward(Tensor grad_out) override;
     std::string name() const override { return "relu"; }
     std::unique_ptr<Layer> clone() const override;
 
@@ -109,8 +109,8 @@ class MaxPool2D : public Layer
   public:
     MaxPool2D(std::size_t kernel, std::size_t stride);
 
-    Tensor forward(const Tensor &x, bool train) override;
-    Tensor backward(const Tensor &grad_out) override;
+    Tensor forward(Tensor x, bool train) override;
+    Tensor backward(Tensor grad_out) override;
     std::string name() const override { return "maxpool"; }
     std::unique_ptr<Layer> clone() const override;
 
@@ -124,8 +124,8 @@ class MaxPool2D : public Layer
 class GlobalAvgPool : public Layer
 {
   public:
-    Tensor forward(const Tensor &x, bool train) override;
-    Tensor backward(const Tensor &grad_out) override;
+    Tensor forward(Tensor x, bool train) override;
+    Tensor backward(Tensor grad_out) override;
     std::string name() const override { return "gap"; }
     std::unique_ptr<Layer> clone() const override;
 
@@ -137,8 +137,8 @@ class GlobalAvgPool : public Layer
 class Flatten : public Layer
 {
   public:
-    Tensor forward(const Tensor &x, bool train) override;
-    Tensor backward(const Tensor &grad_out) override;
+    Tensor forward(Tensor x, bool train) override;
+    Tensor backward(Tensor grad_out) override;
     std::string name() const override { return "flatten"; }
     std::unique_ptr<Layer> clone() const override;
 

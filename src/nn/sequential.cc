@@ -15,21 +15,19 @@ Sequential::add(std::unique_ptr<Layer> layer)
 }
 
 Tensor
-Sequential::forward(const Tensor &x, bool train)
+Sequential::forward(Tensor x, bool train)
 {
-    Tensor cur = x;
     for (auto &child : children)
-        cur = child->forward(cur, train);
-    return cur;
+        x = child->forward(std::move(x), train);
+    return x;
 }
 
 Tensor
-Sequential::backward(const Tensor &grad_out)
+Sequential::backward(Tensor grad_out)
 {
-    Tensor cur = grad_out;
     for (auto it = children.rbegin(); it != children.rend(); ++it)
-        cur = (*it)->backward(cur);
-    return cur;
+        grad_out = (*it)->backward(std::move(grad_out));
+    return grad_out;
 }
 
 std::vector<Param *>
@@ -67,10 +65,11 @@ Residual::Residual(std::unique_ptr<Layer> main_path,
 }
 
 Tensor
-Residual::forward(const Tensor &x, bool train)
+Residual::forward(Tensor x, bool train)
 {
     Tensor mainOut = main->forward(x, train);
-    Tensor skip = shortcut ? shortcut->forward(x, train) : x;
+    Tensor skip = shortcut ? shortcut->forward(std::move(x), train)
+                           : std::move(x);
     SOCFLOW_ASSERT(mainOut.shape() == skip.shape(),
                    "residual branch shapes differ");
     Tensor sum(mainOut.shape());
@@ -78,18 +77,18 @@ Residual::forward(const Tensor &x, bool train)
     Tensor out(sum.shape());
     tensor::reluForward(sum, out);
     if (train)
-        cachedSum = sum;
+        cachedSum = std::move(sum);
     return out;
 }
 
 Tensor
-Residual::backward(const Tensor &grad_out)
+Residual::backward(Tensor grad_out)
 {
     Tensor gradSum(grad_out.shape());
     tensor::reluBackward(cachedSum, grad_out, gradSum);
     Tensor gradMain = main->backward(gradSum);
     if (shortcut) {
-        Tensor gradSkip = shortcut->backward(gradSum);
+        Tensor gradSkip = shortcut->backward(std::move(gradSum));
         tensor::axpy(1.0f, gradSkip, gradMain);
     } else {
         tensor::axpy(1.0f, gradSum, gradMain);

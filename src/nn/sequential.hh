@@ -25,8 +25,8 @@ class Sequential : public Layer
     /** Append a layer; returns *this for chaining. */
     Sequential &add(std::unique_ptr<Layer> layer);
 
-    Tensor forward(const Tensor &x, bool train) override;
-    Tensor backward(const Tensor &grad_out) override;
+    Tensor forward(Tensor x, bool train) override;
+    Tensor backward(Tensor grad_out) override;
     std::vector<Param *> params() override;
     std::string name() const override { return "sequential"; }
     std::unique_ptr<Layer> clone() const override;
@@ -51,8 +51,8 @@ class Residual : public Layer
     Residual(std::unique_ptr<Layer> main_path,
              std::unique_ptr<Layer> shortcut = nullptr);
 
-    Tensor forward(const Tensor &x, bool train) override;
-    Tensor backward(const Tensor &grad_out) override;
+    Tensor forward(Tensor x, bool train) override;
+    Tensor backward(Tensor grad_out) override;
     std::vector<Param *> params() override;
     std::string name() const override { return "residual"; }
     std::unique_ptr<Layer> clone() const override;

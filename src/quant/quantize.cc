@@ -26,30 +26,43 @@ computeScale(const float *x, std::size_t n, int bits)
     return mx / static_cast<float>(quantMax(bits));
 }
 
+namespace {
+
+/**
+ * One value already divided by the scale, rounded (stochastically
+ * when an Rng is given and enabled, else to nearest-even) and clamped
+ * to [-qmax, qmax]. Draws exactly one rng->uniform() per call on the
+ * stochastic path and none otherwise.
+ */
+inline float
+gridValue(float v, const QuantConfig &cfg, Rng *rng, float qmax)
+{
+    float r;
+    if (cfg.stochasticRounding && rng) {
+        const float fl = std::floor(v);
+        const float frac = v - fl;
+        r = fl + (rng->uniform() < frac ? 1.0f : 0.0f);
+    } else {
+        r = std::nearbyint(v);
+    }
+    return std::clamp(r, -qmax, qmax);
+}
+
+} // namespace
+
 void
 quantize(const float *x, std::size_t n, float scale,
          const QuantConfig &cfg, Rng *rng, std::int32_t *q)
 {
-    const int qmax = quantMax(cfg.bits);
+    const float qmax = static_cast<float>(quantMax(cfg.bits));
     if (scale == 0.0f) {
         std::fill(q, q + n, 0);
         return;
     }
     const float inv = 1.0f / scale;
-    for (std::size_t i = 0; i < n; ++i) {
-        const float v = x[i] * inv;
-        float r;
-        if (cfg.stochasticRounding && rng) {
-            const float fl = std::floor(v);
-            const float frac = v - fl;
-            r = fl + (rng->uniform() < frac ? 1.0f : 0.0f);
-        } else {
-            r = std::nearbyint(v);
-        }
-        r = std::clamp(r, static_cast<float>(-qmax),
-                       static_cast<float>(qmax));
-        q[i] = static_cast<std::int32_t>(r);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        q[i] = static_cast<std::int32_t>(
+            gridValue(x[i] * inv, cfg, rng, qmax));
 }
 
 void
@@ -65,12 +78,19 @@ fakeQuantize(Tensor &x, const QuantConfig &cfg, Rng *rng)
     const std::size_t n = x.numel();
     if (n == 0)
         return;
-    const float scale = computeScale(x.data(), n, cfg.bits);
+    float *p = x.data();
+    const float scale = computeScale(p, n, cfg.bits);
     if (scale == 0.0f)
         return;
-    std::vector<std::int32_t> q(n);
-    quantize(x.data(), n, scale, cfg, rng, q.data());
-    dequantize(q.data(), n, scale, x.data());
+    // quantize() then dequantize() fused in place: the integer round
+    // trip is kept so a -0 grid value still comes back as +0.
+    const float qmax = static_cast<float>(quantMax(cfg.bits));
+    const float inv = 1.0f / scale;
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto q = static_cast<std::int32_t>(
+            gridValue(p[i] * inv, cfg, rng, qmax));
+        p[i] = static_cast<float>(q) * scale;
+    }
 }
 
 void

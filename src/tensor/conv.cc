@@ -1,6 +1,6 @@
 #include "tensor/conv.hh"
 
-#include <cstring>
+#include <algorithm>
 
 #include "tensor/ops.hh"
 #include "util/logging.hh"
@@ -9,8 +9,7 @@
 namespace {
 
 // Per-item work (in multiply-accumulates) below which the thread
-// fan-out costs more than it saves; the serial path also avoids the
-// per-worker scratch allocations the parallel path needs.
+// fan-out costs more than it saves.
 constexpr std::size_t kParConvWorkMin = std::size_t{1} << 20;
 
 } // namespace
@@ -26,76 +25,138 @@ convOutDim(std::size_t in, std::size_t kernel, std::size_t stride,
     return (in + 2 * pad - kernel) / stride + 1;
 }
 
+namespace {
+
+/**
+ * Copy one sample [C, H, W] into `buf`, resized to [C, H+2p, W+2p]
+ * with a zero border, so the unfold and fold loops below need no
+ * bounds checks. Callers that walk a batch pass the same `buf` for
+ * every sample.
+ */
+float *
+padSample(const float *x, std::size_t channels, std::size_t h,
+          std::size_t w, std::size_t pad, std::vector<float> &buf)
+{
+    const std::size_t hp = h + 2 * pad, wp = w + 2 * pad;
+    buf.assign(channels * hp * wp, 0.0f);
+    for (std::size_t c = 0; c < channels; ++c)
+        for (std::size_t y = 0; y < h; ++y)
+            std::copy(x + (c * h + y) * w, x + (c * h + y + 1) * w,
+                      buf.data() + (c * hp + y + pad) * wp + pad);
+    return buf.data();
+}
+
+/** im2col() with the caller's padding scratch. */
 void
-im2col(const float *x, std::size_t channels, std::size_t h,
-       std::size_t w, const ConvGeom &g, float *out)
+unfold(const float *x, std::size_t channels, std::size_t h,
+       std::size_t w, const ConvGeom &g, float *out,
+       std::vector<float> &padBuf)
 {
     const std::size_t ho = convOutDim(h, g.kernel, g.stride, g.pad);
     const std::size_t wo = convOutDim(w, g.kernel, g.stride, g.pad);
-    const std::size_t cols = ho * wo;
-    std::size_t row = 0;
+    const std::size_t hp = h + 2 * g.pad, wp = w + 2 * g.pad;
+    const std::size_t stride = g.stride;
+    const float *xp =
+        g.pad > 0 ? padSample(x, channels, h, w, g.pad, padBuf) : x;
+    float *o = out;
     for (std::size_t c = 0; c < channels; ++c) {
-        const float *plane = x + c * h * w;
         for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-            for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
-                float *orow = out + row * cols;
-                for (std::size_t oy = 0; oy < ho; ++oy) {
-                    const std::ptrdiff_t iy =
-                        static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
-                        static_cast<std::ptrdiff_t>(g.pad);
-                    for (std::size_t ox = 0; ox < wo; ++ox) {
-                        const std::ptrdiff_t ix =
-                            static_cast<std::ptrdiff_t>(ox * g.stride +
-                                                        kx) -
-                            static_cast<std::ptrdiff_t>(g.pad);
-                        float v = 0.0f;
-                        if (iy >= 0 &&
-                            iy < static_cast<std::ptrdiff_t>(h) &&
-                            ix >= 0 &&
-                            ix < static_cast<std::ptrdiff_t>(w)) {
-                            v = plane[iy * w + ix];
-                        }
-                        orow[oy * wo + ox] = v;
-                    }
+            for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+                const float *src = xp + (c * hp + ky) * wp + kx;
+                for (std::size_t oy = 0; oy < ho; ++oy, o += wo) {
+                    const float *s = src + oy * stride * wp;
+                    for (std::size_t ox = 0; ox < wo; ++ox)
+                        o[ox] = s[ox * stride];
                 }
             }
         }
     }
 }
 
+/**
+ * im2col into the transposed layout [Ho*Wo, C*k*k]: the right-hand
+ * operand of the weight-gradient product dOut * cols^T, so that GEMM
+ * needs no transpose.
+ */
 void
-col2im(const float *cols_data, std::size_t channels, std::size_t h,
-       std::size_t w, const ConvGeom &g, float *x)
+unfoldTransposed(const float *x, std::size_t channels, std::size_t h,
+                 std::size_t w, const ConvGeom &g, float *out,
+                 std::vector<float> &padBuf)
 {
     const std::size_t ho = convOutDim(h, g.kernel, g.stride, g.pad);
     const std::size_t wo = convOutDim(w, g.kernel, g.stride, g.pad);
-    const std::size_t cols = ho * wo;
-    std::size_t row = 0;
-    for (std::size_t c = 0; c < channels; ++c) {
-        float *plane = x + c * h * w;
-        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-            for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
-                const float *crow = cols_data + row * cols;
-                for (std::size_t oy = 0; oy < ho; ++oy) {
-                    const std::ptrdiff_t iy =
-                        static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
-                        static_cast<std::ptrdiff_t>(g.pad);
-                    if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h))
-                        continue;
-                    for (std::size_t ox = 0; ox < wo; ++ox) {
-                        const std::ptrdiff_t ix =
-                            static_cast<std::ptrdiff_t>(ox * g.stride +
-                                                        kx) -
-                            static_cast<std::ptrdiff_t>(g.pad);
-                        if (ix < 0 ||
-                            ix >= static_cast<std::ptrdiff_t>(w))
-                            continue;
-                        plane[iy * w + ix] += crow[oy * wo + ox];
-                    }
+    const std::size_t hp = h + 2 * g.pad, wp = w + 2 * g.pad;
+    const std::size_t stride = g.stride;
+    const float *xp =
+        g.pad > 0 ? padSample(x, channels, h, w, g.pad, padBuf) : x;
+    float *o = out;
+    for (std::size_t oy = 0; oy < ho; ++oy) {
+        for (std::size_t ox = 0; ox < wo; ++ox) {
+            const float *src = xp + oy * stride * wp + ox * stride;
+            for (std::size_t c = 0; c < channels; ++c) {
+                for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+                    const float *s = src + (c * hp + ky) * wp;
+                    for (std::size_t kx = 0; kx < g.kernel; ++kx)
+                        *o++ = s[kx];
                 }
             }
         }
     }
+}
+
+/** col2im() with the caller's padding scratch. */
+void
+fold(const float *cols_data, std::size_t channels, std::size_t h,
+     std::size_t w, const ConvGeom &g, float *x,
+     std::vector<float> &padBuf)
+{
+    const std::size_t ho = convOutDim(h, g.kernel, g.stride, g.pad);
+    const std::size_t wo = convOutDim(w, g.kernel, g.stride, g.pad);
+    const std::size_t hp = h + 2 * g.pad, wp = w + 2 * g.pad;
+    const std::size_t stride = g.stride;
+    // Fold into a padded copy of x: each element still receives its
+    // terms in (row, oy, ox) order after its own prior value, and
+    // the border sums are dropped.
+    float *xp =
+        g.pad > 0 ? padSample(x, channels, h, w, g.pad, padBuf) : x;
+    const float *crow = cols_data;
+    for (std::size_t c = 0; c < channels; ++c) {
+        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+            for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+                float *dst = xp + (c * hp + ky) * wp + kx;
+                for (std::size_t oy = 0; oy < ho; ++oy, crow += wo) {
+                    float *d = dst + oy * stride * wp;
+                    for (std::size_t ox = 0; ox < wo; ++ox)
+                        d[ox * stride] += crow[ox];
+                }
+            }
+        }
+    }
+    if (g.pad == 0)
+        return;
+    for (std::size_t c = 0; c < channels; ++c)
+        for (std::size_t y = 0; y < h; ++y) {
+            const float *src = xp + (c * hp + y + g.pad) * wp + g.pad;
+            std::copy(src, src + w, x + (c * h + y) * w);
+        }
+}
+
+} // namespace
+
+void
+im2col(const float *x, std::size_t channels, std::size_t h,
+       std::size_t w, const ConvGeom &g, float *out)
+{
+    std::vector<float> padBuf;
+    unfold(x, channels, h, w, g, out, padBuf);
+}
+
+void
+col2im(const float *cols_data, std::size_t channels, std::size_t h,
+       std::size_t w, const ConvGeom &g, float *x)
+{
+    std::vector<float> padBuf;
+    fold(cols_data, channels, h, w, g, x, padBuf);
 }
 
 void
@@ -117,15 +178,19 @@ conv2dForward(const Tensor &x, const Tensor &weight, const ConvGeom &g,
 
     const std::size_t krows = g.inChannels * g.kernel * g.kernel;
     const std::size_t cols = ho * wo;
+    const std::size_t inSize = c * h * w;
+    const std::size_t outSize = g.outChannels * cols;
 
-    // Weight viewed as [outC, krows]; im2col gives [krows, cols];
-    // product is [outC, cols] = one sample's output planes.
-    Tensor wmat = Tensor::fromValues(
-        {g.outChannels, krows},
-        std::vector<float>(weight.data(), weight.data() + weight.numel()));
-
+    // Weight viewed as [outC, krows] times im2col [krows, cols] gives
+    // one sample's output planes [outC, cols], written in place.
+    const auto sample = [&](std::size_t s, std::vector<float> &colsBuf,
+                            std::vector<float> &padBuf) {
+        unfold(x.data() + s * inSize, c, h, w, g, colsBuf.data(), padBuf);
+        gemm(weight.data(), false, colsBuf.data(), false,
+             out.data() + s * outSize, g.outChannels, cols, krows);
+    };
     // Samples are independent and write disjoint output slices, so
-    // the batch fans out bit-exactly; each worker carries its own
+    // the batch fans out bit-exactly; each task carries its own
     // im2col scratch. Nested use (a pool worker already running the
     // per-group trainer step) stays serial via the inline guard.
     const std::size_t perSample = g.outChannels * krows * cols;
@@ -133,54 +198,42 @@ conv2dForward(const Tensor &x, const Tensor &weight, const ConvGeom &g,
     if (n > 1 && perSample >= kParConvWorkMin && pool.size() > 1 &&
         !ThreadPool::inWorkerThread()) {
         pool.parallelFor(n, [&](std::size_t s) {
-            Tensor colsMat({krows, cols});
-            Tensor outMat({g.outChannels, cols});
-            im2col(x.data() + s * c * h * w, c, h, w, g,
-                   colsMat.data());
-            gemm(wmat, false, colsMat, false, outMat);
-            std::memcpy(out.data() + s * g.outChannels * cols,
-                        outMat.data(),
-                        sizeof(float) * g.outChannels * cols);
+            std::vector<float> colsBuf(krows * cols), padBuf;
+            sample(s, colsBuf, padBuf);
         });
         return;
     }
-
-    Tensor colsMat({krows, cols});
-    Tensor outMat({g.outChannels, cols});
-    for (std::size_t s = 0; s < n; ++s) {
-        im2col(x.data() + s * c * h * w, c, h, w, g, colsMat.data());
-        gemm(wmat, false, colsMat, false, outMat);
-        std::memcpy(out.data() + s * g.outChannels * cols, outMat.data(),
-                    sizeof(float) * g.outChannels * cols);
-    }
+    std::vector<float> colsBuf(krows * cols), padBuf;
+    for (std::size_t s = 0; s < n; ++s)
+        sample(s, colsBuf, padBuf);
 }
 
 void
 conv2dBackward(const Tensor &x, const Tensor &weight, const ConvGeom &g,
                const Tensor &grad_out, Tensor *grad_x, Tensor &grad_w)
 {
+    SOCFLOW_ASSERT(x.rank() == 4, "conv input must be NCHW");
     const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2),
                       w = x.dim(3);
+    SOCFLOW_ASSERT(c == g.inChannels, "conv input channel mismatch");
     const std::size_t ho = convOutDim(h, g.kernel, g.stride, g.pad);
     const std::size_t wo = convOutDim(w, g.kernel, g.stride, g.pad);
     const std::size_t krows = g.inChannels * g.kernel * g.kernel;
     const std::size_t cols = ho * wo;
+    SOCFLOW_ASSERT(weight.numel() == g.outChannels * krows,
+                   "conv weight size mismatch");
     SOCFLOW_ASSERT(grad_out.shape() ==
                        Shape({n, g.outChannels, ho, wo}),
                    "conv grad_out shape mismatch");
     SOCFLOW_ASSERT(grad_w.numel() == weight.numel(),
                    "conv grad_w size mismatch");
+    SOCFLOW_ASSERT(!grad_x || grad_x->shape() == x.shape(),
+                   "conv grad_x shape mismatch");
 
-    Tensor wmat = Tensor::fromValues(
-        {g.outChannels, krows},
-        std::vector<float>(weight.data(), weight.data() + weight.numel()));
-    Tensor gwMat = Tensor::fromValues(
-        {g.outChannels, krows},
-        std::vector<float>(grad_w.data(), grad_w.data() + grad_w.numel()));
-    Tensor colsMat({krows, cols});
-    Tensor goMat({g.outChannels, cols});
-    Tensor gcols({krows, cols});
-
+    const std::size_t inSize = c * h * w;
+    const std::size_t outSize = g.outChannels * cols;
+    std::vector<float> colsT(cols * krows), padBuf;
+    std::vector<float> gcols(grad_x ? krows * cols : 0);
     if (grad_x)
         grad_x->zero();
 
@@ -190,21 +243,21 @@ conv2dBackward(const Tensor &x, const Tensor &weight, const ConvGeom &g,
     // the two gemm calls instead, whose row fan-out preserves each
     // output element's accumulation order exactly.
     for (std::size_t s = 0; s < n; ++s) {
-        im2col(x.data() + s * c * h * w, c, h, w, g, colsMat.data());
-        std::memcpy(goMat.data(),
-                    grad_out.data() + s * g.outChannels * cols,
-                    sizeof(float) * g.outChannels * cols);
-        // dW += dOut * cols^T
-        gemm(goMat, false, colsMat, true, gwMat, 1.0f);
+        const float *go = grad_out.data() + s * outSize;
+        // dW[outC, krows] += dOut[outC, cols] * cols^T [cols, krows],
+        // unfolded straight into the transposed layout.
+        unfoldTransposed(x.data() + s * inSize, c, h, w, g, colsT.data(),
+                         padBuf);
+        gemm(go, false, colsT.data(), false, grad_w.data(), g.outChannels,
+             krows, cols, 1.0f);
         if (grad_x) {
             // dCols = W^T * dOut ; then fold back.
-            gemm(wmat, true, goMat, false, gcols);
-            col2im(gcols.data(), c, h, w, g,
-                   grad_x->data() + s * c * h * w);
+            gemm(weight.data(), true, go, false, gcols.data(), krows,
+                 cols, g.outChannels);
+            fold(gcols.data(), c, h, w, g, grad_x->data() + s * inSize,
+                 padBuf);
         }
     }
-    std::memcpy(grad_w.data(), gwMat.data(),
-                sizeof(float) * grad_w.numel());
 }
 
 void
@@ -357,6 +410,8 @@ maxPool2dForward(const Tensor &x, std::size_t kernel, std::size_t stride,
                    "maxpool output shape mismatch");
     argmax.assign(out.numel(), 0);
 
+    // Windows never cross the border: with no padding the last one
+    // ends at row/column (Ho-1)*stride + kernel-1 <= H-1.
     const float *px = x.data();
     float *po = out.data();
     std::size_t oi = 0;
@@ -365,21 +420,18 @@ maxPool2dForward(const Tensor &x, std::size_t kernel, std::size_t stride,
             const std::size_t base = (s * c + ch) * h * w;
             for (std::size_t oy = 0; oy < ho; ++oy) {
                 for (std::size_t ox = 0; ox < wo; ++ox, ++oi) {
+                    const std::size_t corner =
+                        base + oy * stride * w + ox * stride;
                     float best = -3.4e38f;
                     std::size_t bestIdx = base;
                     for (std::size_t ky = 0; ky < kernel; ++ky) {
-                        const std::size_t iy = oy * stride + ky;
-                        if (iy >= h)
-                            continue;
                         for (std::size_t kx = 0; kx < kernel; ++kx) {
-                            const std::size_t ix = ox * stride + kx;
-                            if (ix >= w)
-                                continue;
-                            const std::size_t idx = base + iy * w + ix;
-                            if (px[idx] > best) {
-                                best = px[idx];
-                                bestIdx = idx;
-                            }
+                            const std::size_t idx = corner + ky * w + kx;
+                            // Selects, not branches: the winner is
+                            // data-dependent and mispredicts.
+                            const bool take = px[idx] > best;
+                            best = take ? px[idx] : best;
+                            bestIdx = take ? idx : bestIdx;
                         }
                     }
                     po[oi] = best;

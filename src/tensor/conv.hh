@@ -56,7 +56,8 @@ void conv2dForward(const Tensor &x, const Tensor &weight,
 
 /**
  * Convolution backward.
- * @param grad_x input gradient (overwritten); may be null to skip.
+ * @param grad_x input gradient, shaped like x (overwritten); may be
+ *               null to skip.
  * @param grad_w weight gradient (accumulated into).
  */
 void conv2dBackward(const Tensor &x, const Tensor &weight,

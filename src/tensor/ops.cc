@@ -11,38 +11,86 @@ namespace tensor {
 
 namespace {
 
+/** Row and depth block of the GEMM kernel. */
+constexpr std::size_t kBlock = 64;
+
 /**
- * Inner kernel: C[m,n] += A[m,k] * B[k,n], contiguous row-major.
+ * One register tile of a C row: crow[j, j+W) += vals[t] *
+ * brows[t][j, j+W) for t ascending. The tile stays in registers for
+ * the whole list, and each element still adds its products in list
+ * order, exactly as a load/add/store per product would.
+ */
+template <std::size_t W>
+inline void
+accumulateTile(const float *const *brows, const float *vals,
+               std::size_t cnt, std::size_t j, float *crow)
+{
+    float acc[W];
+    for (std::size_t jj = 0; jj < W; ++jj)
+        acc[jj] = crow[j + jj];
+    for (std::size_t t = 0; t < cnt; ++t) {
+        const float av = vals[t];
+        const float *brow = brows[t] + j;
+        for (std::size_t jj = 0; jj < W; ++jj)
+            acc[jj] += av * brow[jj];
+    }
+    for (std::size_t jj = 0; jj < W; ++jj)
+        crow[j + jj] = acc[jj];
+}
+
+/**
+ * C[m,n] += A * B, with B [k, n] contiguous row-major and A(i, p) read
+ * from a[i * aRow + p * aCol], so a transposed A needs no copy.
  *
- * Row blocks of C are disjoint, and each output element accumulates
- * its k terms in the same (p-block, p) order no matter which thread
- * owns its row block, so fanning the row blocks across the pool is
- * bit-exact with the serial schedule at any thread count.
+ * Each (row, depth block) first lists its nonzero A entries in
+ * ascending p, then sweeps the C row tile by tile over that list; a
+ * C element therefore adds its nonzero-A products in ascending p,
+ * the order of the plain i-p-j triple loop. Row blocks of C are
+ * disjoint, so fanning them across the pool is bit-exact with the
+ * serial schedule at any thread count.
  */
 void
-gemmNoTrans(const float *a, const float *b, float *c, std::size_t m,
-            std::size_t n, std::size_t k)
+gemmKernel(const float *a, std::size_t aRow, std::size_t aCol,
+           const float *b, float *c, std::size_t m, std::size_t n,
+           std::size_t k)
 {
-    constexpr std::size_t block = 64;
     const auto rowBlock = [&](std::size_t bi) {
-        const std::size_t i0 = bi * block;
-        const std::size_t i1 = std::min(m, i0 + block);
-        for (std::size_t p0 = 0; p0 < k; p0 += block) {
-            const std::size_t p1 = std::min(k, p0 + block);
+        const float *brows[kBlock];
+        float vals[kBlock];
+        const std::size_t i0 = bi * kBlock;
+        const std::size_t i1 = std::min(m, i0 + kBlock);
+        for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
+            const std::size_t p1 = std::min(k, p0 + kBlock);
             for (std::size_t i = i0; i < i1; ++i) {
+                // Branch-free: every entry is written, only nonzero
+                // ones (NaN included) advance the count.
+                std::size_t cnt = 0;
                 for (std::size_t p = p0; p < p1; ++p) {
-                    const float aval = a[i * k + p];
-                    if (aval == 0.0f)
-                        continue;
-                    const float *brow = b + p * n;
-                    float *crow = c + i * n;
-                    for (std::size_t j = 0; j < n; ++j)
-                        crow[j] += aval * brow[j];
+                    const float av = a[i * aRow + p * aCol];
+                    brows[cnt] = b + p * n;
+                    vals[cnt] = av;
+                    cnt += av != 0.0f ? 1 : 0;
                 }
+                if (cnt == 0)
+                    continue;
+                float *crow = c + i * n;
+                std::size_t j = 0;
+                for (; j + 16 <= n; j += 16)
+                    accumulateTile<16>(brows, vals, cnt, j, crow);
+                if (j + 8 <= n) {
+                    accumulateTile<8>(brows, vals, cnt, j, crow);
+                    j += 8;
+                }
+                if (j + 4 <= n) {
+                    accumulateTile<4>(brows, vals, cnt, j, crow);
+                    j += 4;
+                }
+                for (; j < n; ++j)
+                    accumulateTile<1>(brows, vals, cnt, j, crow);
             }
         }
     };
-    const std::size_t iBlocks = (m + block - 1) / block;
+    const std::size_t iBlocks = (m + kBlock - 1) / kBlock;
     // Fan out only when the product is large enough to amortize the
     // dispatch; tiny GEMMs dominate the call count but not the time.
     constexpr std::size_t kParFlopMin = std::size_t{1} << 20;
@@ -59,6 +107,35 @@ gemmNoTrans(const float *a, const float *b, float *c, std::size_t m,
 } // namespace
 
 void
+gemm(const float *a, bool trans_a, const float *b, bool trans_b,
+     float *c, std::size_t m, std::size_t n, std::size_t k, float beta)
+{
+    if (beta == 0.0f) {
+        std::fill(c, c + m * n, 0.0f);
+    } else if (beta != 1.0f) {
+        for (std::size_t i = 0; i < m * n; ++i)
+            c[i] *= beta;
+    }
+    // A transposed A is read in place; a transposed B is copied once
+    // into [k, n] so the kernel's inner loops stay contiguous.
+    std::vector<float> tb;
+    if (trans_b) {
+        tb.resize(k * n);
+        for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
+            const std::size_t j1 = std::min(n, j0 + kBlock);
+            for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
+                const std::size_t p1 = std::min(k, p0 + kBlock);
+                for (std::size_t j = j0; j < j1; ++j)
+                    for (std::size_t p = p0; p < p1; ++p)
+                        tb[p * n + j] = b[j * k + p];
+            }
+        }
+        b = tb.data();
+    }
+    gemmKernel(a, trans_a ? 1 : k, trans_a ? m : 1, b, c, m, n, k);
+}
+
+void
 gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
      Tensor &c, float beta)
 {
@@ -72,33 +149,7 @@ gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
                    " vs ", kb);
     SOCFLOW_ASSERT(c.dim(0) == m && c.dim(1) == n,
                    "gemm output shape mismatch");
-
-    if (beta == 0.0f) {
-        c.zero();
-    } else if (beta != 1.0f) {
-        scale(c, beta);
-    }
-
-    // Materialize transposed operands once; simpler and faster than
-    // strided inner loops for the sizes we use.
-    const float *pa = a.data();
-    const float *pb = b.data();
-    std::vector<float> ta, tb;
-    if (trans_a) {
-        ta.resize(m * ka);
-        for (std::size_t i = 0; i < a.dim(0); ++i)
-            for (std::size_t j = 0; j < a.dim(1); ++j)
-                ta[j * ka + i] = pa[i * a.dim(1) + j];
-        pa = ta.data();
-    }
-    if (trans_b) {
-        tb.resize(kb * n);
-        for (std::size_t i = 0; i < b.dim(0); ++i)
-            for (std::size_t j = 0; j < b.dim(1); ++j)
-                tb[j * n + i] = pb[i * b.dim(1) + j];
-        pb = tb.data();
-    }
-    gemmNoTrans(pa, pb, c.data(), m, n, ka);
+    gemm(a.data(), trans_a, b.data(), trans_b, c.data(), m, n, ka, beta);
 }
 
 void
@@ -150,8 +201,12 @@ reluBackward(const Tensor &x, const Tensor &grad_out, Tensor &grad_in)
     const float *px = x.data();
     const float *pg = grad_out.data();
     float *po = grad_in.data();
-    for (std::size_t i = 0; i < x.numel(); ++i)
-        po[i] = px[i] > 0.0f ? pg[i] : 0.0f;
+    const std::size_t count = x.numel();
+    for (std::size_t i = 0; i < count; ++i) {
+        // Load unconditionally so the select needs no branch.
+        const float g = pg[i];
+        po[i] = px[i] > 0.0f ? g : 0.0f;
+    }
 }
 
 void
@@ -159,11 +214,12 @@ biasAddRows(Tensor &x, const Tensor &bias)
 {
     SOCFLOW_ASSERT(x.rank() == 2 && bias.numel() == x.dim(1),
                    "biasAddRows shape mismatch");
+    const std::size_t rows = x.dim(0), cols = x.dim(1);
     float *p = x.data();
     const float *pb = bias.data();
-    for (std::size_t r = 0; r < x.dim(0); ++r)
-        for (std::size_t c = 0; c < x.dim(1); ++c)
-            p[r * x.dim(1) + c] += pb[c];
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c)
+            p[r * cols + c] += pb[c];
 }
 
 void
@@ -172,11 +228,12 @@ biasGradRows(const Tensor &grad_out, Tensor &grad_bias)
     SOCFLOW_ASSERT(grad_out.rank() == 2 &&
                        grad_bias.numel() == grad_out.dim(1),
                    "biasGradRows shape mismatch");
+    const std::size_t rows = grad_out.dim(0), cols = grad_out.dim(1);
     const float *pg = grad_out.data();
     float *pb = grad_bias.data();
-    for (std::size_t r = 0; r < grad_out.dim(0); ++r)
-        for (std::size_t c = 0; c < grad_out.dim(1); ++c)
-            pb[c] += pg[r * grad_out.dim(1) + c];
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c)
+            pb[c] += pg[r * cols + c];
 }
 
 void
@@ -184,12 +241,13 @@ biasAddChannels(Tensor &x, const Tensor &bias)
 {
     SOCFLOW_ASSERT(x.rank() == 4 && bias.numel() == x.dim(1),
                    "biasAddChannels expects NCHW and one bias/channel");
+    const std::size_t n = x.dim(0), ch = x.dim(1);
     const std::size_t hw = x.dim(2) * x.dim(3);
     float *p = x.data();
     const float *pb = bias.data();
-    for (std::size_t nIdx = 0; nIdx < x.dim(0); ++nIdx) {
-        for (std::size_t cIdx = 0; cIdx < x.dim(1); ++cIdx) {
-            float *plane = p + (nIdx * x.dim(1) + cIdx) * hw;
+    for (std::size_t nIdx = 0; nIdx < n; ++nIdx) {
+        for (std::size_t cIdx = 0; cIdx < ch; ++cIdx) {
+            float *plane = p + (nIdx * ch + cIdx) * hw;
             const float bv = pb[cIdx];
             for (std::size_t i = 0; i < hw; ++i)
                 plane[i] += bv;
@@ -203,12 +261,13 @@ biasGradChannels(const Tensor &grad_out, Tensor &grad_bias)
     SOCFLOW_ASSERT(grad_out.rank() == 4 &&
                        grad_bias.numel() == grad_out.dim(1),
                    "biasGradChannels shape mismatch");
+    const std::size_t n = grad_out.dim(0), ch = grad_out.dim(1);
     const std::size_t hw = grad_out.dim(2) * grad_out.dim(3);
     const float *pg = grad_out.data();
     float *pb = grad_bias.data();
-    for (std::size_t nIdx = 0; nIdx < grad_out.dim(0); ++nIdx) {
-        for (std::size_t cIdx = 0; cIdx < grad_out.dim(1); ++cIdx) {
-            const float *plane = pg + (nIdx * grad_out.dim(1) + cIdx) * hw;
+    for (std::size_t nIdx = 0; nIdx < n; ++nIdx) {
+        for (std::size_t cIdx = 0; cIdx < ch; ++cIdx) {
+            const float *plane = pg + (nIdx * ch + cIdx) * hw;
             double s = 0.0;
             for (std::size_t i = 0; i < hw; ++i)
                 s += plane[i];

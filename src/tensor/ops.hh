@@ -2,10 +2,13 @@
  * @file
  * Dense linear-algebra and elementwise kernels.
  *
- * All kernels are plain single-threaded loops with a cache-blocked
- * GEMM; determinism matters more than peak FLOPs for a reproduction,
- * and the wall-clock of the simulated hardware comes from the compute
- * model, not from these kernels.
+ * Plain loops plus one cache-blocked GEMM kernel. Determinism
+ * matters more than peak FLOPs for a reproduction: every GEMM output
+ * element adds its k products in ascending order (skipping zero A
+ * entries), at any thread count, so results are bit-identical across
+ * runs and pools. Large GEMMs fan their row blocks across the global
+ * thread pool. The wall-clock of the simulated hardware comes from the
+ * compute model, not from these kernels.
  */
 
 #ifndef SOCFLOW_TENSOR_OPS_HH
@@ -19,8 +22,21 @@ namespace socflow {
 namespace tensor {
 
 /**
- * General matrix multiply: C = A(opA) * B(opB) + beta * C.
- * A is [m, k] after opA; B is [k, n] after opB; C is [m, n].
+ * General matrix multiply on contiguous row-major buffers:
+ * C = A(opA) * B(opB) + beta * C, with A [m, k] after opA, B [k, n]
+ * after opB and C [m, n]. A transposed A is stored [k, m], a
+ * transposed B [n, k]. C must not overlap A or B.
+ *
+ * C is first zeroed (beta == 0) or scaled (beta != 1); then each
+ * C[i][j] adds A[i][p] * B[p][j] for p ascending, skipping every p
+ * with A[i][p] == 0 (either sign).
+ */
+void gemm(const float *a, bool trans_a, const float *b, bool trans_b,
+          float *c, std::size_t m, std::size_t n, std::size_t k,
+          float beta = 0.0f);
+
+/**
+ * Shape-checked gemm over rank-2 tensors (same semantics).
  * @param trans_a treat A as transposed.
  * @param trans_b treat B as transposed.
  */

@@ -67,13 +67,6 @@ Tensor::fromValues(Shape shape, std::vector<float> values)
     return t;
 }
 
-std::size_t
-Tensor::dim(std::size_t i) const
-{
-    SOCFLOW_ASSERT(i < shape_.size(), "dim index out of range");
-    return shape_[i];
-}
-
 float &
 Tensor::at(std::size_t r, std::size_t c)
 {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace socflow {
@@ -56,8 +57,13 @@ class Tensor
     /** Dimensions. */
     const Shape &shape() const { return shape_; }
 
-    /** Extent of one dimension. */
-    std::size_t dim(std::size_t i) const;
+    /** Extent of one dimension (checked; hoist it out of hot loops). */
+    std::size_t
+    dim(std::size_t i) const
+    {
+        SOCFLOW_ASSERT(i < shape_.size(), "dim index out of range");
+        return shape_[i];
+    }
 
     /** Number of dimensions. */
     std::size_t rank() const { return shape_.size(); }
@@ -69,7 +75,7 @@ class Tensor
     float *data() { return data_.data(); }
     const float *data() const { return data_.data(); }
 
-    /** Flat element access with bounds checking in debug builds. */
+    /** Flat element access, unchecked. */
     float &operator[](std::size_t i) { return data_[i]; }
     float operator[](std::size_t i) const { return data_[i]; }
 

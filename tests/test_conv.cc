@@ -1,12 +1,14 @@
 /**
  * @file
- * Convolution/pooling kernels: naive-reference cross-checks and
- * numeric gradient verification over a geometry sweep.
+ * Convolution/pooling kernels: naive-reference cross-checks,
+ * numeric gradient verification over a geometry sweep, and bit-exact
+ * golden tests of the im2col/GEMM accumulation order.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "tensor/conv.hh"
 #include "tensor/tensor.hh"
@@ -172,6 +174,173 @@ TEST(Im2Col, AdjointOfCol2Im)
     EXPECT_NEAR(lhs, rhs, 1e-3);
 }
 
+// ------------------------------------------------ bit-exact conv order
+
+namespace {
+
+/** Element (row, col) of sample s's im2col matrix (0 in the padding). */
+float
+colValue(const Tensor &x, std::size_t s, const ConvGeom &g,
+         std::size_t row, std::size_t col)
+{
+    const std::size_t c = x.dim(1), h = x.dim(2), w = x.dim(3);
+    const std::size_t wo = convOutDim(w, g.kernel, g.stride, g.pad);
+    const std::size_t ch = row / (g.kernel * g.kernel);
+    const std::size_t ky = row / g.kernel % g.kernel;
+    const std::size_t kx = row % g.kernel;
+    const std::size_t iy = col / wo * g.stride + ky;
+    const std::size_t ix = col % wo * g.stride + kx;
+    if (iy < g.pad || iy >= g.pad + h || ix < g.pad || ix >= g.pad + w)
+        return 0.0f;
+    return x[((s * c + ch) * h + iy - g.pad) * w + ix - g.pad];
+}
+
+/** Random tensor with about a third of its entries +0.0f or -0.0f. */
+Tensor
+sparseSigned(Shape shape, Rng &rng)
+{
+    Tensor t = Tensor::randn(std::move(shape), rng);
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+        const double u = rng.uniform();
+        if (u < 0.15)
+            t[i] = 0.0f;
+        else if (u < 0.3)
+            t[i] = -0.0f;
+    }
+    return t;
+}
+
+bool
+sameBits(const Tensor &x, const Tensor &y)
+{
+    return x.shape() == y.shape() &&
+           std::memcmp(x.data(), y.data(), sizeof(float) * x.numel()) ==
+               0;
+}
+
+} // namespace
+
+class ConvGolden : public ::testing::TestWithParam<ConvCase>
+{
+};
+
+TEST_P(ConvGolden, ForwardBitExact)
+{
+    // out[s][oc][col] adds W[oc][row] * cols[row][col] for row
+    // ascending, skipping zero weights.
+    const auto p = GetParam();
+    Rng rng(p.h * 5 + p.k);
+    ConvGeom g{p.c, p.outC, p.k, p.stride, p.pad};
+    Tensor x = Tensor::randn({p.n, p.c, p.h, p.w}, rng);
+    Tensor w = sparseSigned({p.outC, p.c, p.k, p.k}, rng);
+    const std::size_t ho = convOutDim(p.h, p.k, p.stride, p.pad);
+    const std::size_t wo = convOutDim(p.w, p.k, p.stride, p.pad);
+    const std::size_t krows = p.c * p.k * p.k, cols = ho * wo;
+    Tensor got({p.n, p.outC, ho, wo}, 7.0f), want(got.shape());
+    conv2dForward(x, w, g, got);
+    for (std::size_t s = 0; s < p.n; ++s)
+        for (std::size_t oc = 0; oc < p.outC; ++oc)
+            for (std::size_t col = 0; col < cols; ++col) {
+                float acc = 0.0f;
+                for (std::size_t row = 0; row < krows; ++row) {
+                    const float wv = w[oc * krows + row];
+                    if (wv != 0.0f)
+                        acc += wv * colValue(x, s, g, row, col);
+                }
+                want[(s * p.outC + oc) * cols + col] = acc;
+            }
+    EXPECT_TRUE(sameBits(got, want));
+}
+
+TEST_P(ConvGolden, BackwardBitExactAndAccumulatesIntoGradW)
+{
+    // dW[oc][row] starts from the caller's value and adds
+    // dOut[s][oc][col] * cols[row][col] for (s, col) ascending,
+    // skipping zero dOut; dX folds W^T dOut back in (row, col) order.
+    const auto p = GetParam();
+    Rng rng(p.h * 11 + p.k);
+    ConvGeom g{p.c, p.outC, p.k, p.stride, p.pad};
+    Tensor x = Tensor::randn({p.n, p.c, p.h, p.w}, rng);
+    Tensor w = sparseSigned({p.outC, p.c, p.k, p.k}, rng);
+    const std::size_t ho = convOutDim(p.h, p.k, p.stride, p.pad);
+    const std::size_t wo = convOutDim(p.w, p.k, p.stride, p.pad);
+    const std::size_t krows = p.c * p.k * p.k, cols = ho * wo;
+    Tensor gradOut = sparseSigned({p.n, p.outC, ho, wo}, rng);
+    Tensor gw0 = Tensor::randn(w.shape(), rng);
+    gw0[0] = -0.0f;
+
+    Tensor gotW = gw0, gotX(x.shape(), 3.0f);
+    conv2dBackward(x, w, g, gradOut, &gotX, gotW);
+
+    Tensor wantW = gw0;
+    for (std::size_t oc = 0; oc < p.outC; ++oc)
+        for (std::size_t row = 0; row < krows; ++row) {
+            float acc = wantW[oc * krows + row];
+            for (std::size_t s = 0; s < p.n; ++s)
+                for (std::size_t col = 0; col < cols; ++col) {
+                    const float gv =
+                        gradOut[(s * p.outC + oc) * cols + col];
+                    if (gv != 0.0f)
+                        acc += gv * colValue(x, s, g, row, col);
+                }
+            wantW[oc * krows + row] = acc;
+        }
+    EXPECT_TRUE(sameBits(gotW, wantW));
+
+    Tensor wantX(x.shape());
+    for (std::size_t s = 0; s < p.n; ++s)
+        for (std::size_t row = 0; row < krows; ++row) {
+            const std::size_t ch = row / (p.k * p.k);
+            const std::size_t ky = row / p.k % p.k, kx = row % p.k;
+            for (std::size_t col = 0; col < cols; ++col) {
+                float acc = 0.0f;
+                for (std::size_t oc = 0; oc < p.outC; ++oc) {
+                    const float wv = w[oc * krows + row];
+                    if (wv != 0.0f)
+                        acc += wv *
+                               gradOut[(s * p.outC + oc) * cols + col];
+                }
+                const std::size_t iy = col / wo * p.stride + ky;
+                const std::size_t ix = col % wo * p.stride + kx;
+                if (iy < p.pad || iy >= p.pad + p.h || ix < p.pad ||
+                    ix >= p.pad + p.w)
+                    continue;
+                wantX[((s * p.c + ch) * p.h + iy - p.pad) * p.w + ix -
+                      p.pad] += acc;
+            }
+        }
+    EXPECT_TRUE(sameBits(gotX, wantX));
+}
+
+// The ConvSweep geometries plus both lenet5 convolutions.
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ConvGolden,
+    ::testing::Values(ConvCase{1, 1, 5, 5, 1, 3, 1, 1},
+                      ConvCase{2, 3, 8, 8, 4, 3, 1, 1},
+                      ConvCase{1, 2, 7, 7, 3, 3, 2, 1},
+                      ConvCase{2, 2, 6, 6, 2, 1, 1, 0},
+                      ConvCase{1, 3, 9, 9, 2, 5, 1, 2},
+                      ConvCase{1, 1, 4, 6, 2, 3, 2, 1},
+                      ConvCase{3, 1, 12, 12, 6, 5, 1, 2},
+                      ConvCase{3, 6, 6, 6, 16, 5, 1, 2}));
+
+TEST(ConvBackward, RejectsBadShapes)
+{
+    ConvGeom g{2, 3, 3, 1, 1};
+    Tensor x({1, 2, 4, 4}), w({3, 2, 3, 3}), gw(w.shape());
+    Tensor go({1, 3, 4, 4});
+    Tensor flat({2, 16});
+    EXPECT_DEATH(conv2dBackward(flat, w, g, go, nullptr, gw), "NCHW");
+    Tensor x3({1, 3, 4, 4});
+    EXPECT_DEATH(conv2dBackward(x3, w, g, go, nullptr, gw), "channel");
+    Tensor badGx({1, 2, 4, 5});
+    EXPECT_DEATH(conv2dBackward(x, w, g, go, &badGx, gw), "grad_x");
+    Tensor badGw({3, 2, 3, 2});
+    EXPECT_DEATH(conv2dBackward(x, w, g, go, nullptr, badGw), "grad_w");
+    Tensor badGo({1, 3, 4, 3});
+    EXPECT_DEATH(conv2dBackward(x, w, g, badGo, nullptr, gw), "grad_out");
+}
+
 TEST(DepthwiseConv, MatchesPerChannelFullConv)
 {
     // Depthwise conv on C channels equals C independent 1-channel
@@ -249,6 +418,17 @@ TEST(MaxPool, ForwardPicksMaxAndBackwardRoutes)
     maxPool2dBackward(gradOut, argmax, gradX);
     EXPECT_FLOAT_EQ(gradX[1], 2.5f);
     EXPECT_FLOAT_EQ(gradX[0], 0.0f);
+}
+
+TEST(MaxPool, TiesKeepFirstIndex)
+{
+    Tensor x = Tensor::fromValues({1, 1, 2, 4}, {3, 3, 0, -0.0f,
+                                                 3, 1, -0.0f, 0});
+    Tensor out({1, 1, 1, 2});
+    std::vector<std::size_t> argmax;
+    maxPool2dForward(x, 2, 2, out, argmax);
+    EXPECT_EQ(argmax[0], 0u);
+    EXPECT_EQ(argmax[1], 2u);
 }
 
 TEST(MaxPool, OddInputTruncates)

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "nn/zoo.hh"
 #include "quant/int8_trainer.hh"
@@ -100,6 +102,40 @@ TEST(Quantize, FakeQuantizeIdempotentDeterministic)
     fakeQuantize(twice, cfg);
     // Already-quantized values land on the same grid.
     EXPECT_LT(once.maxAbsDiff(twice), 1e-6);
+}
+
+TEST(Quantize, FakeQuantizeEqualsQuantizeThenDequantize)
+{
+    Rng rng(8);
+    Tensor t = Tensor::randn({1000}, rng, 3.0f);
+    t[0] = -0.0f;
+    t[1] = 1e-9f;    // rounds to a -0 or +0 grid value
+    t[2] = -1e-9f;
+    for (int bits : {4, 8, 16}) {
+        for (bool stochastic : {false, true}) {
+            QuantConfig cfg;
+            cfg.bits = bits;
+            cfg.stochasticRounding = stochastic;
+            Rng fusedRng(bits), splitRng(bits);
+
+            Tensor fused = t;
+            fakeQuantize(fused, cfg, &fusedRng);
+
+            const float scale = computeScale(t.data(), t.numel(), bits);
+            std::vector<std::int32_t> q(t.numel());
+            Tensor split(t.shape());
+            quantize(t.data(), t.numel(), scale, cfg, &splitRng,
+                     q.data());
+            dequantize(q.data(), q.size(), scale, split.data());
+
+            EXPECT_EQ(std::memcmp(fused.data(), split.data(),
+                                  sizeof(float) * t.numel()),
+                      0)
+                << "bits " << bits << " stochastic " << stochastic;
+            // Same number of uniform draws on both paths.
+            EXPECT_EQ(fusedRng.next(), splitRng.next());
+        }
+    }
 }
 
 TEST(Quantize, FakeQuantizeZeroTensorNoop)

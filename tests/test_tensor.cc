@@ -1,17 +1,20 @@
 /**
  * @file
  * Tests for the tensor container and dense kernels, including GEMM
- * cross-checked against a naive reference over a parameter sweep and
- * a numeric gradient check of the softmax cross-entropy head.
+ * cross-checked against a naive reference over a parameter sweep,
+ * bit-exact golden tests of the GEMM accumulation order, and a
+ * numeric gradient check of the softmax cross-entropy head.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "tensor/ops.hh"
 #include "tensor/tensor.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 using namespace socflow;
 using namespace socflow::tensor;
@@ -150,6 +153,139 @@ TEST(Gemm, MismatchPanics)
 {
     Tensor a({2, 3}), b({4, 5}), c({2, 5});
     EXPECT_DEATH(gemm(a, false, b, false, c), "inner");
+}
+
+// ------------------------------------------------- gemm, bit-exact order
+
+namespace {
+
+/**
+ * The accumulation order gemm promises, in plain float arithmetic:
+ * C is zeroed (beta 0) or scaled (beta != 1), then each element adds
+ * A[i][p] * B[p][j] for p ascending, skipping A entries equal to 0.
+ */
+void
+orderedGemm(const Tensor &a, bool ta, const Tensor &b, bool tb,
+            Tensor &c, float beta)
+{
+    const std::size_t m = c.dim(0), n = c.dim(1);
+    const std::size_t k = ta ? a.dim(0) : a.dim(1);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            float acc = beta == 0.0f   ? 0.0f
+                        : beta == 1.0f ? c.at(i, j)
+                                       : c.at(i, j) * beta;
+            for (std::size_t p = 0; p < k; ++p) {
+                const float av = ta ? a.at(p, i) : a.at(i, p);
+                if (av == 0.0f)
+                    continue;
+                acc += av * (tb ? b.at(j, p) : b.at(p, j));
+            }
+            c.at(i, j) = acc;
+        }
+    }
+}
+
+/** Random A with about a third of its entries +0.0f or -0.0f. */
+Tensor
+sparseSigned(Shape shape, Rng &rng)
+{
+    Tensor t = Tensor::randn(std::move(shape), rng);
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+        const double u = rng.uniform();
+        if (u < 0.15)
+            t[i] = 0.0f;
+        else if (u < 0.3)
+            t[i] = -0.0f;
+    }
+    return t;
+}
+
+bool
+sameBits(const Tensor &x, const Tensor &y)
+{
+    return x.shape() == y.shape() &&
+           std::memcmp(x.data(), y.data(), sizeof(float) * x.numel()) ==
+               0;
+}
+
+} // namespace
+
+struct GoldenCase {
+    std::size_t m, k, n;
+};
+
+class GemmGolden : public ::testing::TestWithParam<GoldenCase>
+{
+};
+
+TEST_P(GemmGolden, BitExactAcrossTransposesAndBetas)
+{
+    const auto p = GetParam();
+    for (int t = 0; t < 4; ++t) {
+        const bool ta = (t & 1) != 0, tb = (t & 2) != 0;
+        for (float beta : {0.0f, 1.0f, 0.5f}) {
+            Rng rng(p.m * 7919 + p.k * 31 + p.n + t);
+            Tensor a = sparseSigned(
+                ta ? Shape{p.k, p.m} : Shape{p.m, p.k}, rng);
+            Tensor b = Tensor::randn(
+                tb ? Shape{p.n, p.k} : Shape{p.k, p.n}, rng);
+            Tensor c0 = Tensor::randn({p.m, p.n}, rng);
+            // -0 in C survives beta 1 only if all-zero A rows add
+            // nothing at all.
+            for (std::size_t i = 0; i < c0.numel(); i += 5)
+                c0[i] = -0.0f;
+            for (std::size_t i = 0; i < p.k; ++i) {
+                if (ta)
+                    a.at(i, 0) = 0.0f;
+                else
+                    a.at(0, i) = -0.0f;
+            }
+            Tensor got = c0, want = c0;
+            gemm(a, ta, b, tb, got, beta);
+            orderedGemm(a, ta, b, tb, want, beta);
+            EXPECT_TRUE(sameBits(got, want))
+                << "m=" << p.m << " k=" << p.k << " n=" << p.n
+                << " ta=" << ta << " tb=" << tb << " beta=" << beta;
+        }
+    }
+}
+
+TEST_P(GemmGolden, BitExactAtAnyThreadCount)
+{
+    const auto p = GetParam();
+    Rng rng(p.m + p.k + p.n);
+    Tensor a = sparseSigned({p.m, p.k}, rng);
+    Tensor b = Tensor::randn({p.k, p.n}, rng);
+    Tensor want({p.m, p.n});
+    orderedGemm(a, false, b, false, want, 0.0f);
+    for (std::size_t threads : {1, 3}) {
+        setGlobalThreads(threads);
+        Tensor got({p.m, p.n});
+        gemm(a, false, b, false, got);
+        EXPECT_TRUE(sameBits(got, want)) << "threads=" << threads;
+    }
+    setGlobalThreads(0);
+}
+
+// Shapes straddle the 64-wide row/depth blocks and every column tile
+// tail; the last one is large enough to fan out across the pool.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmGolden,
+    ::testing::Values(GoldenCase{1, 1, 1}, GoldenCase{3, 5, 7},
+                      GoldenCase{6, 25, 144}, GoldenCase{16, 150, 36},
+                      GoldenCase{63, 64, 65}, GoldenCase{65, 129, 31},
+                      GoldenCase{64, 1, 64}, GoldenCase{130, 90, 100}));
+
+TEST(Gemm, RawPointerMatchesTensorWrapper)
+{
+    Rng rng(9);
+    Tensor a = sparseSigned({5, 7}, rng);
+    Tensor b = Tensor::randn({9, 7}, rng);
+    Tensor viaTensor({5, 9}), viaRaw({5, 9});
+    gemm(a, false, b, true, viaTensor);
+    gemm(a.data(), false, b.data(), true, viaRaw.data(), 5, 9, 7);
+    EXPECT_TRUE(sameBits(viaTensor, viaRaw));
 }
 
 // ----------------------------------------------------------- elementwise

@@ -1,14 +1,19 @@
 /**
  * @file
- * Unit tests for src/util: RNG, statistics, tables, thread pool.
+ * Unit tests for src/util: RNG, statistics, tables, thread pool,
+ * CRC-32.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -336,4 +341,56 @@ TEST(LoggingDeath, AssertMacroCarriesCondition)
 {
     EXPECT_DEATH(SOCFLOW_ASSERT(1 == 2, "context ", 7),
                  "1 == 2.*context 7");
+}
+
+// ---------------------------------------------------------------- crc32
+
+namespace {
+
+/** Reference CRC-32: two 16-entry nibble lookups per byte. */
+std::uint32_t
+nibbleCrc32(const unsigned char *p, std::size_t len)
+{
+    std::uint32_t table[16];
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 4; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
+    }
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < len; ++i) {
+        c = table[(c ^ p[i]) & 0x0Fu] ^ (c >> 4);
+        c = table[(c ^ (p[i] >> 4)) & 0x0Fu] ^ (c >> 4);
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+} // namespace
+
+TEST(Crc32, KnownAnswers)
+{
+    const std::string check = "123456789";
+    EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+    const std::string fox = "The quick brown fox jumps over the lazy dog";
+    EXPECT_EQ(crc32(fox.data(), fox.size()), 0x414FA339u);
+}
+
+TEST(Crc32, MatchesNibbleReferenceOnRandomBuffers)
+{
+    Rng rng(2024);
+    std::vector<unsigned char> buf(4099);
+    for (auto &b : buf)
+        b = static_cast<unsigned char>(rng.uniformInt(256));
+    // Every length 0..64 covers each 8-byte-block/tail split, and
+    // unaligned starts exercise the bytewise word assembly.
+    for (std::size_t start : {0, 1, 3, 7}) {
+        for (std::size_t len = 0; len <= 64; ++len)
+            EXPECT_EQ(crc32(buf.data() + start, len),
+                      nibbleCrc32(buf.data() + start, len))
+                << "start " << start << " len " << len;
+        EXPECT_EQ(crc32(buf.data() + start, buf.size() - start),
+                  nibbleCrc32(buf.data() + start, buf.size() - start));
+    }
 }
